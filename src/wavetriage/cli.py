@@ -402,9 +402,15 @@ def cmd_pipeline(args) -> int:
         jobs = scenario_jobs(cfg, scratch / split, split, per_module)
         results = dispatch(jobs, cfg)
         done = [r for r in results if r.status == "done"]
-        failed = len(results) - len(done)
+        failed = [r for r in results if r.status != "done"]
         if failed:
-            print(f"{split}: {failed} job(s) failed after retries", file=sys.stderr)
+            first = failed[0]
+            outcome = "timed out" if first.timed_out else f"exit code {first.returncode}"
+            print(
+                f"{split}: {len(failed)} job(s) failed after retries; first: "
+                f"{first.scenario_id} ({outcome}), stderr tail:\n{first.stderr_tail.rstrip()}",
+                file=sys.stderr,
+            )
         dataset, report = run_data_pipeline(done, cfg)
         datasets[split] = dataset
         report_total.raw += report.raw

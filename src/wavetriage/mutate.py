@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import random
 import shlex
+import shutil
 import subprocess
+import tempfile
 import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -145,8 +148,17 @@ def read_source(path) -> str:
 
 
 def _write_source(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    """Replace ``path`` atomically: a failure mid-write leaves the old bytes."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

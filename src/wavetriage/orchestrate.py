@@ -37,6 +37,9 @@ from .selection import prune
 from .vcd import parse_header, list_full_names, stream_changes
 
 
+STDERR_TAIL_BYTES = 2048
+
+
 class OrchestrateError(Exception):
     pass
 
@@ -115,6 +118,10 @@ class JobResult:
     vcd_paths: list[str]
     wall_time: float
     attempts: int
+    # outcome of the last simulator attempt
+    returncode: int | None = None  # None when it timed out
+    timed_out: bool = False
+    stderr_tail: str = ""  # last STDERR_TAIL_BYTES of its stderr
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -153,6 +160,21 @@ def _run_one_job(job: ScenarioJob, cfg: PipelineConfig) -> JobResult:
     job.scratch_dir.mkdir(parents=True, exist_ok=True)
     vcd_paths: list[str] = []
     attempts = 0
+    returncode, timed_out, stderr = None, False, b""
+
+    def result(status: str) -> JobResult:
+        return JobResult(
+            scenario_id=job.scenario_id,
+            label=job.label,
+            status=status,
+            vcd_paths=vcd_paths,
+            wall_time=time.perf_counter() - start,
+            attempts=attempts,
+            returncode=returncode,
+            timed_out=timed_out,
+            stderr_tail=(stderr or b"")[-STDERR_TAIL_BYTES:].decode("utf-8", errors="replace"),
+        )
+
     for reseed in range(job.reseed_count):
         out = job.scratch_dir / f"wave_{reseed:02d}.vcd"
         ok = False
@@ -169,29 +191,17 @@ def _run_one_job(job: ScenarioJob, cfg: PipelineConfig) -> JobResult:
                 proc = subprocess.run(args, capture_output=True, timeout=cfg.sim_timeout)
             except FileNotFoundError as exc:
                 raise SimulatorNotFound(f"simulator command not found: {args[0]!r}") from exc
-            except subprocess.TimeoutExpired:
+            except subprocess.TimeoutExpired as exc:
+                returncode, timed_out, stderr = None, True, exc.stderr
                 continue
+            returncode, timed_out, stderr = proc.returncode, False, proc.stderr
             if proc.returncode == 0 and out.exists():
                 ok = True
                 break
         if not ok:
-            return JobResult(
-                scenario_id=job.scenario_id,
-                label=job.label,
-                status="failed",
-                vcd_paths=vcd_paths,
-                wall_time=time.perf_counter() - start,
-                attempts=attempts,
-            )
+            return result("failed")
         vcd_paths.append(str(out))
-    return JobResult(
-        scenario_id=job.scenario_id,
-        label=job.label,
-        status="done",
-        vcd_paths=vcd_paths,
-        wall_time=time.perf_counter() - start,
-        attempts=attempts,
-    )
+    return result("done")
 
 
 def dispatch(jobs: Sequence[ScenarioJob], cfg: PipelineConfig) -> list[JobResult]:

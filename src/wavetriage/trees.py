@@ -2,6 +2,10 @@
 histogram-based gradient-boosted tree classifier with level-wise or
 leaf-wise growth.
 
+GBT histograms are sized to each fit's bins: the split search scans only
+the features that have at least one cut, each with as many bins as the
+feature with the most cuts, rather than ``max_bins`` for every feature.
+
 Both ensembles are deterministic given their seed: feature/bootstrap
 sampling flows from one Generator, and split ties resolve to the lowest
 feature index and bin/threshold. Split predicates are ``x < threshold``
@@ -260,8 +264,14 @@ class GradientBoostedTrees:
         n_rows, n_features = X.shape
         self.mapper = _BinMapper(p.max_bins).fit(X)
         bins = self.mapper.transform(X)
-        stride = p.max_bins
-        flat = bins.astype(np.int64) + np.arange(n_features, dtype=np.int64) * stride
+        # Only features with at least one cut can split. Their histograms
+        # share one stride: the largest bin count among them.
+        n_cuts = np.array([cuts.size for cuts in self.mapper.cuts], dtype=np.int64)
+        split_features = np.flatnonzero(n_cuts)
+        stride = 1 + int(n_cuts.max(initial=0))
+        flat = bins[:, split_features].astype(np.int64) + (
+            np.arange(split_features.size, dtype=np.int64) * stride
+        )
         self.feature_gain = np.zeros(n_features, dtype=np.float64)
 
         onehot = np.eye(self.n_classes, dtype=np.float64)[y]
@@ -272,28 +282,36 @@ class GradientBoostedTrees:
             hess = probs * (1.0 - probs)
             round_trees = []
             for k in range(self.n_classes):
-                tree, leaf_rows = self._fit_tree(bins, flat, grads[:, k], hess[:, k])
+                tree, leaf_rows = self._fit_tree(
+                    bins, flat, split_features, stride, grads[:, k], hess[:, k]
+                )
                 for leaf, rows in leaf_rows:
                     scores[rows, k] += tree.value[leaf]
                 round_trees.append(tree)
             self.trees.append(round_trees)
         return self
 
-    def _node_candidate(self, flat, bins, rows, g, h) -> tuple[_Candidate | None, float, float]:
-        p = self.params
-        n_features = bins.shape[1]
-        stride = p.max_bins
-        size = n_features * stride
-        sub = flat[rows].ravel()
-        g_hist = np.bincount(sub, weights=np.repeat(g[rows], n_features), minlength=size)
-        h_hist = np.bincount(sub, weights=np.repeat(h[rows], n_features), minlength=size)
-        c_hist = np.bincount(sub, minlength=size)
-        g_hist = g_hist.reshape(n_features, stride)
-        h_hist = h_hist.reshape(n_features, stride)
-        c_hist = c_hist.reshape(n_features, stride)
+    def _node_candidate(
+        self, flat, split_features, stride, rows, g, h
+    ) -> tuple[_Candidate | None, float, float]:
+        """Best split of one node over the splittable features.
 
+        ``flat`` holds each row's bin of every splittable feature, offset by
+        ``stride`` per column, so one ``bincount`` fills every histogram."""
+        p = self.params
         G = float(g[rows].sum())
         H = float(h[rows].sum())
+        n_cols = split_features.size
+        if n_cols == 0:
+            return None, G, H
+        size = n_cols * stride
+        sub = flat[rows].ravel()
+        g_hist = np.bincount(sub, weights=np.repeat(g[rows], n_cols), minlength=size)
+        h_hist = np.bincount(sub, weights=np.repeat(h[rows], n_cols), minlength=size)
+        c_hist = np.bincount(sub, minlength=size)
+        g_hist = g_hist.reshape(n_cols, stride)
+        h_hist = h_hist.reshape(n_cols, stride)
+        c_hist = c_hist.reshape(n_cols, stride)
 
         gl = np.cumsum(g_hist, axis=1)[:, :-1]
         hl = np.cumsum(h_hist, axis=1)[:, :-1]
@@ -315,7 +333,8 @@ class GradientBoostedTrees:
         best_gain = float(gain.flat[best])
         if not np.isfinite(best_gain) or best_gain <= 1e-12:
             return None, G, H
-        feature, boundary = divmod(best, stride - 1)
+        col, boundary = divmod(best, stride - 1)
+        feature = int(split_features[col])
         threshold = float(self.mapper.cuts[feature][boundary])
         return _Candidate(best_gain, feature, boundary, threshold), G, H
 
@@ -323,7 +342,7 @@ class GradientBoostedTrees:
         p = self.params
         return -p.learning_rate * G / (H + p.reg_lambda)
 
-    def _fit_tree(self, bins, flat, g, h):
+    def _fit_tree(self, bins, flat, split_features, stride, g, h):
         p = self.params
         builder = _TreeBuilder()
         leaf_rows: list[tuple[int, np.ndarray]] = []
@@ -340,7 +359,7 @@ class GradientBoostedTrees:
                     cand = None
                     G, H = float(g[rows].sum()), float(h[rows].sum())
                 else:
-                    cand, G, H = self._node_candidate(flat, bins, rows, g, h)
+                    cand, G, H = self._node_candidate(flat, split_features, stride, rows, g, h)
                 if cand is None:
                     builder.value[node] = self._leaf_value(G, H)
                     leaf_rows.append((node, rows))
@@ -362,7 +381,7 @@ class GradientBoostedTrees:
                 if rows.size < 2:
                     cand, G, H = None, float(g[rows].sum()), float(h[rows].sum())
                 else:
-                    cand, G, H = self._node_candidate(flat, bins, rows, g, h)
+                    cand, G, H = self._node_candidate(flat, split_features, stride, rows, g, h)
                 if cand is None:
                     builder.value[node] = self._leaf_value(G, H)
                     leaf_rows.append((node, rows))

@@ -167,6 +167,29 @@ def test_pipeline_subcommand(corpus, tmp_path):
     assert (out_dir / "metrics.json.manifest.json").exists()
 
 
+def test_pipeline_names_the_first_failed_job(corpus, tmp_path, capsys):
+    config = {
+        "design_dir": str(corpus.root),
+        "targets": list(corpus.modules),
+        "top_module": "soc_top",
+        "dut_root": "tb.dut",
+        "simulator": "sh -c 'echo license server down >&2; exit 7' sim {vcd_out}",
+        "retry_limit": 0,
+        "train_per_module": 1,
+        "test_per_module": 1,
+        "seed": 5,
+        "models": ["knn"],
+        "out_dir": str(tmp_path / "run"),
+    }
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run("pipeline", "--config", str(cfg_path)) != 0
+    err = capsys.readouterr().err
+    first = f"train-{sorted(corpus.modules)[0]}-0000"
+    assert f"{len(corpus.modules)} job(s) failed after retries; first: {first} (exit code 7)" in err
+    assert "license server down" in err
+
+
 def test_report_ablation_table(tmp_path, corpus):
     from wavetriage.metrics import MetricsReport
     import numpy as np

@@ -155,6 +155,48 @@ class TestApplyRevert:
         revert(record, design)
         assert read_source(design / "m.sv") == MODULE_TEXT
 
+    def test_write_failing_mid_way_leaves_original_bytes(self, tmp_path, monkeypatch):
+        import builtins
+
+        from wavetriage import mutate
+
+        class HalfWrite:
+            """A file handle whose write stops half-way with a full disk."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                raise OSError(28, "No space left on device")
+
+        design = self.write_design(tmp_path)
+        spec = plan_for("missing_assignment", 1)
+        monkeypatch.setattr(
+            mutate, "open", lambda *a, **kw: HalfWrite(builtins.open(*a, **kw)), raising=False
+        )
+        with pytest.raises(OSError):
+            apply(spec, design)
+        monkeypatch.undo()
+        assert read_source(design / "m.sv") == MODULE_TEXT
+        assert sorted(p.name for p in design.iterdir()) == ["m.sv"]
+
+    def test_write_keeps_file_mode(self, tmp_path):
+        design = self.write_design(tmp_path)
+        (design / "m.sv").chmod(0o640)
+        apply(plan_for("missing_assignment", 1), design)
+        assert (design / "m.sv").stat().st_mode & 0o777 == 0o640
+
     def test_apply_twice_is_stale(self, tmp_path):
         design = self.write_design(tmp_path)
         spec = plan_for("logic_bug", 2)

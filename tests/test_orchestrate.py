@@ -130,6 +130,58 @@ def test_dispatch_failed_job_marks_and_continues(corpus, tmp_path):
         run_data_pipeline(results, cfg)
 
 
+def test_failed_job_keeps_exit_code_and_stderr(corpus, tmp_path):
+    cfg = config_for(
+        corpus,
+        tmp_path,
+        simulator="sh -c 'echo license server down >&2; exit 7' sim {vcd_out}",
+        retry_limit=1,
+    )
+    jobs = scenario_jobs(cfg, tmp_path / "scratch", "train", 1)[:1]
+    (result,) = dispatch(jobs, cfg)
+    assert result.status == "failed"
+    assert result.returncode == 7
+    assert not result.timed_out
+    assert "license server down" in result.stderr_tail
+
+
+def test_stderr_tail_keeps_the_last_bytes(corpus, tmp_path):
+    script = tmp_path / "noisy.py"
+    script.write_text(
+        "import sys\nsys.stderr.write('x' * 5000 + 'END')\nsys.exit(3)\n"
+    )
+    cfg = config_for(corpus, tmp_path, simulator=f"{PY} {script} {{vcd_out}}", retry_limit=0)
+    jobs = scenario_jobs(cfg, tmp_path / "scratch", "train", 1)[:1]
+    (result,) = dispatch(jobs, cfg)
+    assert result.returncode == 3
+    assert len(result.stderr_tail) == 2048
+    assert result.stderr_tail.endswith("xEND")
+
+
+def test_timed_out_job_is_marked(corpus, tmp_path):
+    cfg = config_for(
+        corpus, tmp_path, simulator="sh -c 'sleep 5' sim {vcd_out}", sim_timeout=0.2, retry_limit=0
+    )
+    jobs = scenario_jobs(cfg, tmp_path / "scratch", "train", 1)[:1]
+    (result,) = dispatch(jobs, cfg)
+    assert result.status == "failed"
+    assert result.timed_out
+    assert result.returncode is None
+
+
+def test_done_job_reports_exit_code_zero(corpus, tmp_path):
+    cfg = config_for(corpus, tmp_path)
+    jobs = scenario_jobs(cfg, tmp_path / "scratch", "train", 1)[:1]
+    (result,) = dispatch(jobs, cfg)
+    assert result.status == "done"
+    assert (result.returncode, result.timed_out) == (0, False)
+
+
+def test_job_result_positional_constructor_still_works():
+    result = JobResult("train-a-0000", "a", "done", ["w.vcd"], 0.0, 1)
+    assert (result.returncode, result.timed_out, result.stderr_tail) == (None, False, "")
+
+
 def _dataset_bytes(dataset):
     buf = io.StringIO()
     write_dataset_csv(dataset, buf)
