@@ -286,68 +286,32 @@ def cmd_eval(args) -> int:
 
 def cmd_inject(args) -> int:
     from . import mutate
-    from .rtl import DesignSources, scan_sources
 
     config = json.loads(Path(args.config).read_text())
-    design_dir = Path(config["design_dir"])
     seed = _env_override("seed", args.seed, config.get("seed"), default=0, cast=int)
     count = args.count if args.count is not None else int(config.get("count", 1))
-    bug_types = config.get("bug_types", list(mutate.BUG_TYPES))
-    modules = config["modules"]
-    check = mutate.CheckCommands(
-        compile=config["check"]["compile"],
-        test=config["check"]["test"],
-        timeout=float(config["check"].get("timeout", 60.0)),
-        vcd_out=config["check"].get("vcd_out"),
+    batch = mutate.inject_batch(
+        config["design_dir"],
+        config["modules"],
+        config.get("bug_types", mutate.BUG_TYPES),
+        count,
+        mutate.CheckCommands.from_dict(config["check"]),
+        seed * 1_000_003,
+        cache_path=config.get("cache"),
+        failure_log_path=config.get("failure_log"),
+        max_attempts=int(config.get("max_attempts", 5)),
+        keep_applied=args.keep_applied,
     )
-    cache_path = config.get("cache")
-    failure_log = config.get("failure_log")
-    sources = DesignSources.from_paths(sorted(design_dir.glob("*.sv")))
-    table = scan_sources(sources)
-    file_of = {}
-    for path, text in sources.files:
-        for module in table.entries:
-            if f"module {module}" in text:
-                file_of.setdefault(module, Path(path).name)
-
-    results = []
-    for i in range(count):
-        module = modules[i % len(modules)]
-        bug_type = bug_types[i % len(bug_types)]
-        scenario_id = f"inject-{module}-{i:04d}"
-
-        def planner(attempt, excluded, _m=module, _b=bug_type, _i=i):
-            return mutate.plan_scenario(
-                design_dir,
-                file_of[_m],
-                table,
-                _m,
-                [_b],
-                seed * 1_000_003 + _i * 101 + attempt,
-                excluded=excluded,
-            )
-
-        scenario = mutate.generate_scenario(
-            scenario_id,
-            planner,
-            check,
-            design_dir=design_dir,
-            cache_path=cache_path,
-            failure_log_path=failure_log,
-            max_attempts=int(config.get("max_attempts", 5)),
-        )
-        results.append(
-            {
-                "scenario_id": scenario_id,
-                "module": module,
-                "bug_type": bug_type,
-                "status": scenario.status,
-                "attempts": scenario.attempts,
-            }
-        )
-        if scenario.status == mutate.STATUS_ACCEPTED and not args.keep_applied:
-            mutate.revert_all(scenario.patches, design_dir)
-
+    results = [
+        {
+            "scenario_id": scenario.scenario_id,
+            "module": module,
+            "bug_type": bug_type,
+            "status": scenario.status,
+            "attempts": scenario.attempts,
+        }
+        for module, bug_type, scenario in batch
+    ]
     summary = {
         "accepted": sum(r["status"] == "accepted" for r in results),
         "rejected_syntax": sum(r["status"] == "rejected_syntax" for r in results),
@@ -391,10 +355,29 @@ def cmd_pipeline(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     scratch = out_dir / "scratch"
 
-    if cfg.injection and cfg.injection.get("enabled"):
-        rc = _pipeline_injection(cfg)
-        if rc != EXIT_OK:
-            return rc
+    inj = cfg.injection or {}
+    if inj.get("enabled"):
+        from . import mutate
+
+        # mutate a scratch copy; dispatch still simulates cfg.design_dir
+        scratch_design = scratch / "design"
+        if scratch_design.exists():
+            shutil.rmtree(scratch_design)
+        shutil.copytree(cfg.design_dir, scratch_design)
+        count = int(inj.get("count", len(cfg.targets)))
+        batch = mutate.inject_batch(
+            scratch_design,
+            cfg.targets,
+            inj.get("bug_types", mutate.BUG_TYPES),
+            count,
+            mutate.CheckCommands.from_dict(inj["check"]),
+            cfg.seed * 7_919,
+            cache_path=inj.get("cache"),
+            failure_log_path=inj.get("failure_log"),
+            max_attempts=int(inj.get("max_attempts", 5)),
+        )
+        accepted = sum(s.status == mutate.STATUS_ACCEPTED for _, _, s in batch)
+        print(f"injection: {accepted}/{count} scenario(s) accepted (cached)")
 
     datasets = {}
     report_total = StageSizeReport()
@@ -413,11 +396,7 @@ def cmd_pipeline(args) -> int:
             )
         dataset, report = run_data_pipeline(done, cfg)
         datasets[split] = dataset
-        report_total.raw += report.raw
-        report_total.rough += report.rough
-        report_total.compressed += report.compressed
-        report_total.final += report.final
-        report_total.tick_capped += report.tick_capped
+        report_total.merge(report)
         csv_path = out_dir / f"{split}.csv"
         with open(csv_path, "w", encoding="utf-8") as handle:
             write_dataset_csv(dataset, handle)
@@ -483,61 +462,6 @@ def _coverage_from_design(cfg) -> dict[str, str]:
         dut_root=cfg.dut_root,
     )
     return {name: owner for name, _, _, owner in report.selected}
-
-
-def _pipeline_injection(cfg) -> int:
-    """Sequential mutation stage against a scratch copy of the design."""
-    from . import mutate
-    from .rtl import DesignSources, scan_sources
-
-    inj = cfg.injection
-    scratch_design = Path(cfg.out_dir) / "scratch" / "design"
-    if scratch_design.exists():
-        shutil.rmtree(scratch_design)
-    shutil.copytree(cfg.design_dir, scratch_design)
-    check = mutate.CheckCommands(
-        compile=inj["check"]["compile"],
-        test=inj["check"]["test"],
-        timeout=float(inj["check"].get("timeout", 60.0)),
-    )
-    sources = DesignSources.from_paths(sorted(scratch_design.glob("*.sv")))
-    table = scan_sources(sources)
-    file_of = {}
-    for path, text in sources.files:
-        for module in table.entries:
-            if f"module {module}" in text:
-                file_of.setdefault(module, Path(path).name)
-    accepted = 0
-    count = int(inj.get("count", len(cfg.targets)))
-    bug_types = inj.get("bug_types", list(mutate.BUG_TYPES))
-    for i in range(count):
-        module = cfg.targets[i % len(cfg.targets)]
-
-        def planner(attempt, excluded, _m=module, _i=i):
-            return mutate.plan_scenario(
-                scratch_design,
-                file_of[_m],
-                table,
-                _m,
-                [bug_types[_i % len(bug_types)]],
-                cfg.seed * 7_919 + _i * 101 + attempt,
-                excluded=excluded,
-            )
-
-        scenario = mutate.generate_scenario(
-            f"inject-{module}-{i:04d}",
-            planner,
-            check,
-            design_dir=scratch_design,
-            cache_path=inj.get("cache"),
-            failure_log_path=inj.get("failure_log"),
-            max_attempts=int(inj.get("max_attempts", 5)),
-        )
-        if scenario.status == mutate.STATUS_ACCEPTED:
-            accepted += 1
-            mutate.revert_all(scenario.patches, scratch_design)
-    print(f"injection: {accepted}/{count} scenario(s) accepted (cached)")
-    return EXIT_OK
 
 
 def cmd_report(args) -> int:

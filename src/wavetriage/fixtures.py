@@ -579,9 +579,11 @@ def materialize_corpus(
 
 
 def simulator_command() -> str:
-    """Command template for the bundled replay simulator."""
+    """Command template for the bundled replay simulator, run by its file
+    path so the child needs no ``PYTHONPATH``."""
+    script = Path(__file__).with_name("replay_sim.py")
     return (
-        f"{shlex.quote(sys.executable)} -m wavetriage.replay_sim"
+        f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
         " --manifest {design_dir}/manifest.json --scenario-id {scenario_id}"
         " --seed {seed} --vcd-out {vcd_out}"
     )

@@ -14,6 +14,8 @@ Five bug types are planned from statically discovered sites:
 Planning is pure (text in, spec out) and seeded, so identical sources and
 seeds yield identical mutations. Applying edits files under hash guards and
 every outcome except an accepted, in-use scenario reverts byte-exactly.
+:func:`inject_batch` runs a seeded batch of scenarios over a design
+directory; the ``inject`` and ``pipeline`` commands both use it.
 """
 
 from __future__ import annotations
@@ -127,8 +129,8 @@ class CheckCommands:
     vcd_out: str | None = None
 
     @classmethod
-    def from_json(cls, text: str) -> "CheckCommands":
-        doc = json.loads(text)
+    def from_dict(cls, doc: dict) -> "CheckCommands":
+        """From a config's ``check`` object; ``timeout`` and ``vcd_out`` are optional."""
         return cls(
             compile=doc["compile"],
             test=doc["test"],
@@ -707,3 +709,63 @@ def generate_scenario(
         for spec in specs:
             excluded.add((spec.file, spec.site_start, spec.site_end, spec.bug_type))
     return scenario
+
+
+def inject_batch(
+    design_dir,
+    modules: Sequence[str],
+    bug_types: Sequence[str],
+    count: int,
+    check: CheckCommands,
+    seed_base: int,
+    cache_path=None,
+    failure_log_path=None,
+    max_attempts: int = 5,
+    keep_applied: bool = False,
+) -> list[tuple[str, str, BugScenario]]:
+    """Run ``count`` scenarios round-robin over ``modules`` and ``bug_types``.
+
+    Scenario ``i`` has id ``inject-{module}-{i:04d}`` and plans attempt ``a``
+    with seed ``seed_base + i*101 + a`` in the first sorted ``*.sv`` file
+    that declares its module. An undeclared module raises
+    :class:`~wavetriage.rtl.UnknownModule` before any file is touched.
+    Accepted patches are reverted unless ``keep_applied``. Returns
+    ``(module, bug_type, scenario)`` per scenario.
+    """
+    design_dir = Path(design_dir)
+    sources = rtl.DesignSources.from_paths(sorted(design_dir.glob("*.sv")))
+    table = rtl.scan_sources(sources)
+    file_of: dict[str, str] = {}
+    for path, text in sources.files:
+        for module in rtl.module_body_ranges(rtl.tokenize(text, path)):
+            file_of.setdefault(module, Path(path).name)
+    for module in modules:
+        if module not in file_of:
+            raise UnknownModule(module)
+
+    results = []
+    for i in range(count):
+        module = modules[i % len(modules)]
+        bug_type = bug_types[i % len(bug_types)]
+        scenario = generate_scenario(
+            f"inject-{module}-{i:04d}",
+            # called only inside this iteration, so the loop variables are current
+            lambda attempt, excluded: plan_scenario(
+                design_dir,
+                file_of[module],
+                table,
+                module,
+                [bug_type],
+                seed_base + i * 101 + attempt,
+                excluded=excluded,
+            ),
+            check,
+            design_dir=design_dir,
+            cache_path=cache_path,
+            failure_log_path=failure_log_path,
+            max_attempts=max_attempts,
+        )
+        if scenario.status == STATUS_ACCEPTED and not keep_applied:
+            revert_all(scenario.patches, design_dir)
+        results.append((module, bug_type, scenario))
+    return results

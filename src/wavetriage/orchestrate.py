@@ -252,6 +252,14 @@ class StageSizeReport:
     final: int = 0
     tick_capped: list[str] = field(default_factory=list)
 
+    def merge(self, other: "StageSizeReport") -> None:
+        """Add ``other``'s counts to this report and append its tick-capped ids."""
+        self.raw += other.raw
+        self.rough += other.rough
+        self.compressed += other.compressed
+        self.final += other.final
+        self.tick_capped += other.tick_capped
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 

@@ -8,7 +8,9 @@ an EDA simulator wherever one is configured:
 The manifest maps scenario ids to waveform files (optionally one per seed)
 and an emulated per-run latency. Exit 0 means the simulation completed and
 the waveform was written. Imports stay minimal: process startup is part of
-every dispatched job.
+every dispatched job. Only the standard library is imported, because
+``fixtures.simulator_command`` runs this file by its path, without the
+package on ``sys.path``.
 """
 
 import json

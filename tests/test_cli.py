@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from wavetriage.fixtures import (
     materialize_corpus,
     simulator_command,
 )
+from wavetriage.mutate import load_cache
 
 PY = sys.executable
 
@@ -136,6 +138,137 @@ def test_inject_subcommand(corpus, tmp_path):
     # sources restored after the run
     for src in corpus.root.glob("*.sv"):
         assert src.read_text() == (corpus.root / "golden" / src.name).read_text()
+
+
+CORE_WRAP_SV = """module core_wrap(input wire a, input wire b, output wire y);
+  core u_core(.a(a), .b(b), .y(y));
+endmodule
+"""
+
+CORE_SV = """module core(input wire a, input wire b, output wire y);
+  assign y = a & b;
+endmodule
+"""
+
+
+def write_prefix_design(tmp_path, modules):
+    """core_wrap in a_top.sv sorts before core in core.sv, and its name
+    starts with "core"; the check commands accept every mutation."""
+    design = tmp_path / "design"
+    design.mkdir()
+    (design / "a_top.sv").write_text(CORE_WRAP_SV)
+    (design / "core.sv").write_text(CORE_SV)
+    config = {
+        "design_dir": str(design),
+        "modules": modules,
+        "bug_types": ["bitwise_corruption"],
+        "check": {
+            "compile": f"{PY} -c 'import sys; sys.exit(0)'",
+            "test": f"{PY} -c 'import sys; sys.exit(1)'",
+        },
+        "cache": str(tmp_path / "cache.jsonl"),
+    }
+    cfg_path = tmp_path / "inject.json"
+    cfg_path.write_text(json.dumps(config))
+    return design, cfg_path
+
+
+def test_inject_mutates_the_file_that_declares_the_module(tmp_path):
+    design, cfg_path = write_prefix_design(tmp_path, ["core"])
+    assert run("inject", "--config", str(cfg_path), "--keep-applied") == 0
+    assert (design / "a_top.sv").read_text() == CORE_WRAP_SV
+    assert (design / "core.sv").read_text() != CORE_SV
+    (entry,) = load_cache(tmp_path / "cache.jsonl")
+    assert [spec["file"] for spec in entry["specs"]] == ["core.sv"]
+
+
+def test_inject_undeclared_module_is_exit_2_before_any_edit(tmp_path, capsys):
+    design, cfg_path = write_prefix_design(tmp_path, ["core", "nope"])
+    assert run("inject", "--config", str(cfg_path), "--count", "2", "--keep-applied") == 2
+    assert "nope" in capsys.readouterr().err
+    assert (design / "a_top.sv").read_text() == CORE_WRAP_SV
+    assert (design / "core.sv").read_text() == CORE_SV
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
+def pipeline_config(corpus, out_dir, **overrides):
+    config = {
+        "design_dir": str(corpus.root),
+        "targets": list(corpus.modules),
+        "top_module": "soc_top",
+        "dut_root": "tb.dut",
+        "simulator": simulator_command(),
+        "tick_cap": 50,
+        "worker_count": 2,
+        "train_per_module": 4,
+        "test_per_module": 2,
+        "seed": 5,
+        "models": ["knn"],
+        "out_dir": str(out_dir),
+    }
+    config.update(overrides)
+    cfg_path = Path(str(out_dir) + ".json")
+    cfg_path.write_text(json.dumps(config))
+    return cfg_path
+
+
+def test_pipeline_injection_stage(corpus, tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    injection = {
+        "enabled": True,
+        "count": 3,
+        "bug_types": ["logic_bug", "missing_assignment", "data_size"],
+        "check": {
+            "compile": f"{PY} {{design_dir}}/check_compile.py {{design_dir}}",
+            "test": f"{PY} {{design_dir}}/check_test.py {{design_dir}}",
+        },
+        "cache": str(cache),
+    }
+    plain = tmp_path / "plain"
+    injected = tmp_path / "injected"
+    assert run("pipeline", "--config", str(pipeline_config(corpus, plain))) == 0
+    capsys.readouterr()
+    cfg_path = pipeline_config(corpus, injected, injection=injection)
+    assert run("pipeline", "--config", str(cfg_path)) == 0
+    out = capsys.readouterr().out
+    accepted = int(out.split("injection: ")[1].split("/")[0])
+    assert accepted >= 1
+    assert len(load_cache(cache)) == accepted
+    for src in corpus.root.glob("*.sv"):
+        assert src.read_bytes() == (corpus.root / "golden" / src.name).read_bytes()
+    for name in ("train.csv", "test.csv"):
+        assert (injected / name).read_bytes() == (plain / name).read_bytes()
+
+
+def test_pipeline_injection_honours_vcd_out(corpus, tmp_path, capsys):
+    # the check commands never write this file, so no scenario is accepted
+    injection = {
+        "enabled": True,
+        "count": 2,
+        "bug_types": ["logic_bug"],
+        "max_attempts": 1,
+        "check": {
+            "compile": f"{PY} {{design_dir}}/check_compile.py {{design_dir}}",
+            "test": f"{PY} {{design_dir}}/check_test.py {{design_dir}}",
+            "vcd_out": "{design_dir}/{scenario_id}.vcd",
+        },
+        "cache": str(tmp_path / "cache.jsonl"),
+    }
+    cfg_path = pipeline_config(
+        corpus, tmp_path / "run", injection=injection, train_per_module=1, test_per_module=1
+    )
+    assert run("pipeline", "--config", str(cfg_path)) == 0
+    assert "injection: 0/2 scenario(s) accepted" in capsys.readouterr().out
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
+def test_pipeline_reduce_writes_history(corpus, tmp_path):
+    out_dir = tmp_path / "run"
+    cfg_path = pipeline_config(corpus, out_dir, reduce=True, max_signals=8)
+    assert run("pipeline", "--config", str(cfg_path)) == 0
+    history = json.loads((out_dir / "reduction_history.json").read_text())
+    assert history[-1]["retained_count"] <= 8
+    assert set(history[-1]["per_module_coverage"]) == set(corpus.modules)
 
 
 def test_pipeline_subcommand(corpus, tmp_path):

@@ -160,6 +160,27 @@ def test_manifest_and_replay_sim(design, tmp_path):
     assert out.read_bytes() == expected.read_bytes()
 
 
+def test_replay_sim_runs_without_pythonpath(design, tmp_path):
+    import os
+    import shlex
+
+    scenarios = build_scenarios(design, train_per_module=1, test_per_module=1, seed=2)
+    materialize_corpus(design, scenarios, ticks=60)
+    scenario_id = scenarios[0].scenario_id
+    out = tmp_path / "replayed.vcd"
+    args = [
+        part.format(
+            design_dir=str(design.root), scenario_id=scenario_id, seed=0, vcd_out=str(out)
+        )
+        for part in shlex.split(simulator_command())
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(args, capture_output=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    expected = design.root / "vcds" / f"{scenario_id}.vcd"
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_replay_sim_unknown_scenario(design, tmp_path):
     proc = subprocess.run(
         [

@@ -13,6 +13,7 @@ from wavetriage.mutate import (
     append_cache,
     apply,
     generate_scenario,
+    inject_batch,
     load_cache,
     plan,
     plan_scenario,
@@ -348,3 +349,25 @@ class TestScenarioLoop:
         scenario = generate_scenario("sc7", planner, checks(0, 1), design)
         assert scenario.status == "accepted"
         assert scenario.attempts == 1
+
+    def test_inject_batch_round_robin_ids_and_seeds(self, tmp_path):
+        design = self.setup_design(tmp_path)
+        bug_types = ["logic_bug", "missing_assignment"]
+        batch = inject_batch(design, ["m"], bug_types, 3, checks(0, 1), seed_base=7)
+        assert [(m, b) for m, b, _ in batch] == [
+            ("m", "logic_bug"),
+            ("m", "missing_assignment"),
+            ("m", "logic_bug"),
+        ]
+        for i, (_, bug_type, scenario) in enumerate(batch):
+            assert scenario.scenario_id == f"inject-m-{i:04d}"
+            assert scenario.status == "accepted" and scenario.attempts == 1
+            expected = plan_scenario(design, "m.sv", table_for(), "m", [bug_type], 7 + i * 101)
+            assert [p.spec for p in scenario.patches] == expected
+        assert read_source(design / "m.sv") == MODULE_TEXT
+
+
+def test_check_commands_from_dict_defaults():
+    check = CheckCommands.from_dict({"compile": "make lint", "test": "make regress"})
+    assert check == CheckCommands(compile="make lint", test="make regress")
+    assert check.timeout == 60.0 and check.vcd_out is None

@@ -18,6 +18,7 @@ from wavetriage.orchestrate import (
     PipelineConfig,
     ScratchCollision,
     SimulatorNotFound,
+    StageSizeReport,
     dispatch,
     run_data_pipeline,
     scenario_jobs,
@@ -263,3 +264,11 @@ def test_reseeds_produce_multiple_rows(corpus, tmp_path):
     dataset, _ = run_data_pipeline(results, cfg)
     assert len(dataset) == 4
     assert any("#" in sid for sid in dataset.scenario_ids)
+
+
+def test_stage_size_report_merge_adds_counts_and_keeps_order():
+    total = StageSizeReport(raw=1, rough=2, compressed=3, final=4, tick_capped=["a"])
+    total.merge(StageSizeReport(raw=10, rough=20, compressed=30, final=40, tick_capped=["c", "b"]))
+    assert total == StageSizeReport(
+        raw=11, rough=22, compressed=33, final=44, tick_capped=["a", "c", "b"]
+    )
