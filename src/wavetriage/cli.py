@@ -48,6 +48,12 @@ def _env_override(name: str, flag_value, config_value=None, default=None, cast=s
     return default
 
 
+def _require_entries(count: int, key: str, entries) -> None:
+    """``count`` > 0 scenarios need at least one entry under config ``key``."""
+    if count > 0 and not entries:
+        raise ValueError(f"config key {key!r} is empty but {count} scenario(s) were requested")
+
+
 def _sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -290,10 +296,13 @@ def cmd_inject(args) -> int:
     config = json.loads(Path(args.config).read_text())
     seed = _env_override("seed", args.seed, config.get("seed"), default=0, cast=int)
     count = args.count if args.count is not None else int(config.get("count", 1))
+    bug_types = config.get("bug_types", mutate.BUG_TYPES)
+    _require_entries(count, "modules", config["modules"])
+    _require_entries(count, "bug_types", bug_types)
     batch = mutate.inject_batch(
         config["design_dir"],
         config["modules"],
-        config.get("bug_types", mutate.BUG_TYPES),
+        bug_types,
         count,
         mutate.CheckCommands.from_dict(config["check"]),
         seed * 1_000_003,
@@ -351,24 +360,28 @@ def cmd_pipeline(args) -> int:
         "keep_fraction", args.keep_fraction, cfg.keep_fraction, 0.6, float
     )
     cfg.max_signals = _env_override("max_signals", args.max_signals, cfg.max_signals, 5000, int)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    scratch = out_dir / "scratch"
-
     inj = cfg.injection or {}
     if inj.get("enabled"):
         from . import mutate
 
+        count = int(inj.get("count", len(cfg.targets)))
+        bug_types = inj.get("bug_types", mutate.BUG_TYPES)
+        _require_entries(count, "targets", cfg.targets)
+        _require_entries(count, "injection.bug_types", bug_types)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    scratch = out_dir / "scratch"
+
+    if inj.get("enabled"):
         # mutate a scratch copy; dispatch still simulates cfg.design_dir
         scratch_design = scratch / "design"
         if scratch_design.exists():
             shutil.rmtree(scratch_design)
         shutil.copytree(cfg.design_dir, scratch_design)
-        count = int(inj.get("count", len(cfg.targets)))
         batch = mutate.inject_batch(
             scratch_design,
             cfg.targets,
-            inj.get("bug_types", mutate.BUG_TYPES),
+            bug_types,
             count,
             mutate.CheckCommands.from_dict(inj["check"]),
             cfg.seed * 7_919,

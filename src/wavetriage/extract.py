@@ -10,8 +10,11 @@ waveform length.
 from __future__ import annotations
 
 import csv
+import io
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Sequence
+from itertools import chain
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -239,36 +242,38 @@ def sample_window(
     for index, (_, id_code, _, _) in enumerate(selection.selected):
         columns.setdefault(id_code, []).append(index)
 
-    from collections import deque
-
-    current = np.full(len(names), encoding.uninitialized, dtype=np.float64)
-    rows: deque[tuple[int, np.ndarray]] = deque(maxlen=tick_cap)
-    cur_time: int | None = None
-    available = 0
-
-    for change in changes:
-        if cur_time is None:
-            cur_time = change.time
-            available = 1
-        elif change.time > cur_time:
-            rows.append((cur_time, current.copy()))
-            cur_time = change.time
-            available += 1
-        cols = columns.get(change.id_code)
-        if cols:
-            value = encoding.encode(change.value)
-            for col in cols:
-                current[col] = value
-
-    if cur_time is None:
+    changes = iter(changes)
+    first = next(changes, None)
+    if first is None:
         raise EmptyDump(f"no value changes in dump for scenario {scenario_id!r}")
-    rows.append((cur_time, current))
 
-    times = np.fromiter((t for t, _ in rows), dtype=np.int64, count=len(rows))
-    matrix = np.stack([r for _, r in rows], axis=0)
+    # The state is a plain list; only the last tick_cap rows are kept.
+    current = [encoding.uninitialized] * len(names)
+    rows: deque[list[float]] = deque(maxlen=tick_cap)
+    times: deque[int] = deque(maxlen=tick_cap)
+    encoded: dict[str, float] = {}
+    cur_time = first[0]
+    available = 1
+
+    for t, id_code, value in chain((first,), changes):
+        if t > cur_time:
+            rows.append(current[:])
+            times.append(cur_time)
+            cur_time = t
+            available += 1
+        cols = columns.get(id_code)
+        if cols:
+            number = encoded.get(value)
+            if number is None:
+                number = encoded[value] = encoding.encode(value)
+            for col in cols:
+                current[col] = number
+    rows.append(current)
+    times.append(cur_time)
+
     return WaveWindow(
-        matrix=matrix,
-        tick_times=times,
+        matrix=np.array(list(rows), dtype=np.float64),
+        tick_times=np.array(list(times), dtype=np.int64),
         signals=list(names),
         label=label,
         scenario_id=scenario_id,
@@ -346,8 +351,41 @@ def write_dataset_csv(dataset: Dataset, out: IO[str]) -> None:
     for i in range(len(dataset)):
         writer.writerow(
             [dataset.scenario_ids[i], dataset.labels[i]]
-            + [f"{v:.17e}" for v in dataset.matrix[i].tolist()]
+            + [_dataset_value(v) for v in dataset.matrix[i].tolist()]
         )
+
+
+def _dataset_value(v: float) -> str:
+    return f"{v:.17e}"
+
+
+def _csv_line_length(fields: list) -> int:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return len(buf.getvalue())
+
+
+def _formatted_size(values: np.ndarray, fmt: Callable[[float], str]) -> int:
+    """``sum(len(fmt(v)) for v in values)``, formatting each distinct value
+    once. Values are told apart by their bits, so ``-0.0`` and ``0.0``
+    (which format differently) stay apart."""
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    bits, counts = np.unique(flat.view(np.int64), return_counts=True)
+    return sum(
+        n * len(fmt(v)) for v, n in zip(bits.view(np.float64).tolist(), counts.tolist())
+    )
+
+
+def dataset_csv_sizes(dataset: Dataset) -> tuple[int, list[int]]:
+    """Characters of the header line and of each row line that
+    :func:`write_dataset_csv` writes, without formatting the rows."""
+    header = _csv_line_length(["scenario_id", "label", *dataset.feature_names])
+    width = len(dataset.feature_names)  # one comma before each value
+    rows = [
+        _csv_line_length([scenario_id, label]) + width + _formatted_size(values, _dataset_value)
+        for scenario_id, label, values in zip(dataset.scenario_ids, dataset.labels, dataset.matrix)
+    ]
+    return header, rows
 
 
 def read_dataset_csv(stream: IO[str]) -> Dataset:
@@ -381,3 +419,13 @@ def write_rough_csv(window: WaveWindow, out: IO[str]) -> None:
     times = window.tick_times.tolist()
     for i, row in enumerate(window.matrix):
         writer.writerow([times[i]] + [repr(v) for v in row.tolist()])
+
+
+def rough_csv_size(window: WaveWindow) -> int:
+    """Characters :func:`write_rough_csv` writes for ``window``, without
+    formatting the rows: each row is the tick, one comma and ``repr`` per
+    value, and a newline (no ``repr`` of a float needs CSV quoting)."""
+    rows, signals = window.matrix.shape
+    ticks = sum(len(str(t)) for t in window.tick_times.tolist())
+    values = _formatted_size(window.matrix, repr)
+    return _csv_line_length(["tick", *window.signals]) + rows * (signals + 1) + ticks + values

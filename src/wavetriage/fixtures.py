@@ -186,7 +186,8 @@ import json
 import pathlib
 import sys
 
-from wavetriage import rtl
+sys.path.insert(0, {package_root!r})  # the wavetriage that generated this design
+from wavetriage import rtl  # noqa: E402
 
 
 def main():
@@ -338,7 +339,10 @@ def gen_design(root, n_modules: int = 8, seed: int = 0) -> FixtureDesign:
     (root / "golden_tau.json").write_text(
         json.dumps({"ports": port_map, "tau": json.loads(table.to_json())}, indent=2)
     )
-    (root / "check_compile.py").write_text(_CHECK_COMPILE)
+    package_root = str(Path(__file__).resolve().parent.parent)
+    (root / "check_compile.py").write_text(
+        _CHECK_COMPILE.replace("{package_root!r}", repr(package_root))
+    )
     (root / "check_test.py").write_text(_CHECK_TEST)
     return design
 

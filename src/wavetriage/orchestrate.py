@@ -23,18 +23,21 @@ from .extract import (
     DEFAULT_STATS,
     DEFAULT_TICK_CAP,
     Dataset,
+    ExtractError,
     FeatureRow,
     StatSet,
     assemble,
+    dataset_csv_sizes,
+    rough_csv_size,
     sample_window,
     standardize,
     summarize,
-    write_dataset_csv,
+    write_dataset_csv,  # noqa: F401 - bench/tracing.py patches this name here
     write_rough_csv,
 )
 from .rtl import DesignSources, scan_sources, signals_for_targets
 from .selection import prune
-from .vcd import parse_header, list_full_names, stream_changes
+from .vcd import VcdError, parse_header, list_full_names, stream_changes
 
 
 STDERR_TAIL_BYTES = 2048
@@ -231,16 +234,6 @@ def dispatch(jobs: Sequence[ScenarioJob], cfg: PipelineConfig) -> list[JobResult
 # ---------------------------------------------------------------------------
 # Data-processing pipeline
 
-class _CountingWriter:
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-    def write(self, text: str):
-        self.n += len(text)
-
-
 @dataclass
 class StageSizeReport:
     """Byte counts per pipeline stage: raw waveforms, rough per-tick CSV,
@@ -278,25 +271,26 @@ def _process_waveform(payload) -> dict:
         rough_out,
     ) = payload
     stats = StatSet(tuple(stat_names))
-    with open(vcd_path, "rb") as stream:
-        tree = parse_header(stream)
-        report = prune(
-            list_full_names(tree),
-            target_signals,
-            instances,
-            top_module=top_module,
-            dut_root=dut_root,
-        )
-        window = sample_window(
-            stream_changes(stream),
-            report,
-            tick_cap=tick_cap,
-            label=label,
-            scenario_id=scenario_id,
-        )
+    try:
+        with open(vcd_path, "rb") as stream:
+            tree = parse_header(stream)
+            report = prune(
+                list_full_names(tree),
+                target_signals,
+                instances,
+                top_module=top_module,
+                dut_root=dut_root,
+            )
+            window = sample_window(
+                stream_changes(stream),
+                report,
+                tick_cap=tick_cap,
+                label=label,
+                scenario_id=scenario_id,
+            )
+    except (VcdError, ExtractError) as exc:
+        raise type(exc)(f"{vcd_path} (scenario {scenario_id}): {exc}") from exc
     window = standardize(window, tick_cap)
-    counter = _CountingWriter()
-    write_rough_csv(window, counter)
     if rough_out is not None:
         with open(rough_out, "w", encoding="utf-8") as handle:
             write_rough_csv(window, handle)
@@ -306,7 +300,7 @@ def _process_waveform(payload) -> dict:
         "features": row.features,
         "feature_names": row.feature_names,
         "label": label,
-        "rough_bytes": counter.n,
+        "rough_bytes": rough_csv_size(window),
         "capped": window.available_ticks >= tick_cap,
     }
 
@@ -363,12 +357,14 @@ def run_data_pipeline(
     if cfg.worker_count == 1 or len(payloads) < 4:
         outputs = [_process_waveform(p) for p in payloads]
     else:
+        # about four chunks per worker, so no worker idles while another
+        # still holds a large share of the payloads
+        chunksize = max(1, len(payloads) // (4 * cfg.worker_count))
         with ProcessPoolExecutor(max_workers=cfg.worker_count) as pool:
-            outputs = list(pool.map(_process_waveform, payloads, chunksize=8))
+            outputs = list(pool.map(_process_waveform, payloads, chunksize=chunksize))
 
     report = StageSizeReport(raw=raw_bytes)
     rows = []
-    by_scenario: dict[str, list[FeatureRow]] = {}
     for out in outputs:
         row = FeatureRow(
             features=out["features"],
@@ -380,14 +376,12 @@ def run_data_pipeline(
         report.rough += out["rough_bytes"]
         if out["capped"]:
             report.tick_capped.append(out["scenario_id"])
-        by_scenario.setdefault(out["scenario_id"].split("#")[0], []).append(row)
 
     dataset = assemble(rows)
-    for scenario_rows in by_scenario.values():
-        counter = _CountingWriter()
-        write_dataset_csv(assemble(scenario_rows), counter)
-        report.compressed += counter.n
-    counter = _CountingWriter()
-    write_dataset_csv(dataset, counter)
-    report.final = counter.n
+    # the per-scenario CSVs hold the same rows as the final CSV, and each
+    # repeats its header
+    header, row_sizes = dataset_csv_sizes(dataset)
+    scenarios = {out["scenario_id"].split("#")[0] for out in outputs}
+    report.final = header + sum(row_sizes)
+    report.compressed = report.final + (len(scenarios) - 1) * header
     return dataset, report

@@ -8,8 +8,9 @@ The reader is split in two halves that share one file object:
 * :func:`parse_header` consumes the declaration section line by line and
   stops exactly at the line after ``$enddefinitions $end``, so the same
   stream can then be handed to :func:`stream_changes`.
-* :func:`stream_changes` yields :class:`ValueChange` records one at a time
-  with memory use independent of body length.
+* :func:`stream_changes` reads the body in fixed-size blocks and yields
+  :class:`ValueChange` records one at a time, with memory use independent
+  of body length.
 """
 
 from __future__ import annotations
@@ -35,7 +36,11 @@ _KIND_MAP = {
 VAR_KINDS = ("wire", "reg", "logic", "integer", "other")
 
 _SCALAR_CHARS = frozenset("01xzXZ")
-_VECTOR_CHARS = frozenset("01xz")
+# text.translate(_DROP_VECTOR_CHARS) keeps only what a vector value may not hold
+_DROP_VECTOR_CHARS = str.maketrans("", "", "01xz")
+
+# Characters per read when the body comes from a file-like object.
+_BLOCK_CHARS = 1 << 18
 
 # Identifier codes may be any printable chars including '$', so only these
 # exact words are treated as body keywords.
@@ -300,6 +305,30 @@ def parse_header(stream: IO) -> ScopeTree:
     return tree
 
 
+def _text_blocks(read: Callable[[int], Union[str, bytes]]) -> Iterator[str]:
+    """Decoded text read in blocks of ``_BLOCK_CHARS``, each cut after its
+    last whitespace: a token cut at a block edge is carried over whole to
+    the next block."""
+    carry = ""
+    while True:
+        block = read(_BLOCK_CHARS)
+        if not block:
+            break
+        if isinstance(block, bytes):
+            block = block.decode("latin-1")
+        text = carry + block if carry else block
+        if text[-1].isspace():
+            carry = ""
+            yield text
+        else:
+            # rsplit and split share one definition of whitespace
+            *head, carry = text.rsplit(None, 1)
+            if head:
+                yield head[0]
+    if carry:
+        yield carry
+
+
 def stream_changes(
     stream: Iterable,
     id_filter: frozenset[str] | set[str] = frozenset(),
@@ -309,12 +338,18 @@ def stream_changes(
 ) -> Iterator[ValueChange]:
     """Yield value changes from a VCD body in file order.
 
-    The header must already have been consumed. An empty ``id_filter`` keeps
-    every change. Timestamp regressions are reported through ``on_problem``
-    and the stream continues; malformed records raise when ``strict`` is
-    true, otherwise they are reported and skipped.
+    The header must already have been consumed. ``stream`` is a file-like
+    object (text or binary, read in blocks) or an iterable of lines, each
+    split on its own. An empty
+    ``id_filter`` keeps every change. Timestamp regressions are reported
+    through ``on_problem`` and the stream continues; malformed records raise
+    when ``strict`` is true, otherwise they are reported and skipped.
     """
     keep_all = not id_filter
+    make = tuple.__new__  # ValueChange(...) without the keyword-argument wrapper
+    scalar_chars = _SCALAR_CHARS
+    drop_vector_chars = _DROP_VECTOR_CHARS
+    keywords = _BODY_KEYWORDS
 
     def report(exc: VcdError):
         if isinstance(exc, TimeRegression) or not strict:
@@ -327,7 +362,8 @@ def stream_changes(
     pending_value: str | None = None  # vector/real value waiting for its id token
     in_comment = False
 
-    for raw in stream:
+    read = getattr(stream, "read", None)
+    for raw in stream if read is None else _text_blocks(read):
         if isinstance(raw, bytes):
             raw = raw.decode("latin-1")
         for tok in raw.split():
@@ -337,14 +373,25 @@ def stream_changes(
                 continue
             if pending_value is not None:
                 value, pending_value = pending_value, None
-                if tok in _BODY_KEYWORDS:
+                if tok in keywords:
                     report(MalformedChange(f"vector value without identifier before {tok!r}"))
-                    continue
-                if keep_all or tok in id_filter:
-                    yield ValueChange(current_time, tok, value)
+                elif keep_all or tok in id_filter:
+                    yield make(ValueChange, (current_time, tok, value))
                 continue
             c0 = tok[0]
-            if c0 == "#":
+            if c0 == "b" or c0 == "B":
+                bits = tok[1:].lower()
+                if not bits or bits.translate(drop_vector_chars):
+                    report(MalformedChange(f"bad vector value {tok!r}"))
+                    continue
+                pending_value = bits
+            elif c0 in scalar_chars:
+                ident = tok[1:]
+                if not ident:
+                    report(MalformedChange(f"scalar change {tok!r} missing identifier"))
+                elif keep_all or ident in id_filter:
+                    yield make(ValueChange, (current_time, ident, c0.lower()))
+            elif c0 == "#":
                 try:
                     t = int(tok[1:])
                 except ValueError:
@@ -356,20 +403,7 @@ def stream_changes(
                 if t < current_time:
                     report(TimeRegression(f"timestamp went backwards: {current_time} -> {t}"))
                 current_time = t
-            elif c0 in _SCALAR_CHARS:
-                ident = tok[1:]
-                if not ident:
-                    report(MalformedChange(f"scalar change {tok!r} missing identifier"))
-                    continue
-                if keep_all or ident in id_filter:
-                    yield ValueChange(current_time, ident, c0.lower())
-            elif c0 in "bB":
-                bits = tok[1:].lower()
-                if not bits or not _VECTOR_CHARS.issuperset(bits):
-                    report(MalformedChange(f"bad vector value {tok!r}"))
-                    continue
-                pending_value = bits
-            elif c0 in "rR":
+            elif c0 == "r" or c0 == "R":
                 num = tok[1:]
                 try:
                     float(num)
@@ -377,13 +411,12 @@ def stream_changes(
                     report(MalformedChange(f"bad real value {tok!r}"))
                     continue
                 pending_value = "r" + num
-            elif tok in _BODY_KEYWORDS:
-                if tok == "$comment":
-                    in_comment = True
-                # $dumpvars / $dumpall / $dumpon / $dumpoff / $end pass through;
-                # the value records inside them are ordinary changes.
-            else:
+            elif tok == "$comment":
+                in_comment = True
+            elif tok not in keywords:
                 report(MalformedChange(f"unrecognized change record {tok!r}"))
+            # $dumpvars / $dumpall / $dumpon / $dumpoff / $end pass through;
+            # the value records inside them are ordinary changes.
     if pending_value is not None:
         report(MalformedChange("vector value at end of file missing identifier"))
 
@@ -397,7 +430,7 @@ def _validate_value(value: str, width: int) -> str | None:
         return None
     if len(value) == 1 and width == 1:
         return None if value in "01xz" else f"bad scalar value {value!r}"
-    if not value or not _VECTOR_CHARS.issuperset(value):
+    if not value or value.translate(_DROP_VECTOR_CHARS):
         return f"bad vector value {value!r}"
     if len(value) > width:
         return f"vector value {value!r} longer than declared width {width}"

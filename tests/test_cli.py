@@ -191,6 +191,38 @@ def test_inject_undeclared_module_is_exit_2_before_any_edit(tmp_path, capsys):
     assert not (tmp_path / "cache.jsonl").exists()
 
 
+@pytest.mark.parametrize("key", ["modules", "bug_types"])
+def test_inject_empty_list_is_exit_2_before_any_edit(tmp_path, capsys, key):
+    design, cfg_path = write_prefix_design(tmp_path, ["core"])
+    config = json.loads(cfg_path.read_text())
+    config[key] = []
+    cfg_path.write_text(json.dumps(config))
+    assert run("inject", "--config", str(cfg_path), "--count", "1", "--keep-applied") == 2
+    assert repr(key) in capsys.readouterr().err
+    assert (design / "core.sv").read_text() == CORE_SV
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
+def test_inject_finds_the_package_without_pythonpath(tmp_path, monkeypatch):
+    # the check commands run as child processes that inherit this environment
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    design = gen_design(tmp_path / "design", n_modules=3, seed=5)
+    config = {
+        "design_dir": str(design.root),
+        "modules": list(design.modules),
+        "bug_types": ["logic_bug", "missing_assignment"],
+        "check": {
+            "compile": f"{PY} {design.root}/check_compile.py {{design_dir}}",
+            "test": f"{PY} {design.root}/check_test.py {{design_dir}}",
+        },
+    }
+    cfg_path = tmp_path / "inject.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "summary.json"
+    assert run("inject", "--config", str(cfg_path), "--count", "3", "--json", str(out)) == 0
+    assert json.loads(out.read_text())["accepted"] >= 1
+
+
 def pipeline_config(corpus, out_dir, **overrides):
     config = {
         "design_dir": str(corpus.root),
@@ -260,6 +292,26 @@ def test_pipeline_injection_honours_vcd_out(corpus, tmp_path, capsys):
     assert run("pipeline", "--config", str(cfg_path)) == 0
     assert "injection: 0/2 scenario(s) accepted" in capsys.readouterr().out
     assert not (tmp_path / "cache.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "targets, bug_types, key",
+    [([], ["logic_bug"], "targets"), (None, [], "injection.bug_types")],
+)
+def test_pipeline_injection_empty_list_is_exit_2(corpus, tmp_path, capsys, targets, bug_types, key):
+    injection = {
+        "enabled": True,
+        "count": 2,
+        "bug_types": bug_types,
+        "check": {"compile": f"{PY} -c pass", "test": f"{PY} -c pass"},
+    }
+    out_dir = tmp_path / "run"
+    cfg_path = pipeline_config(
+        corpus, out_dir, injection=injection, targets=list(corpus.modules) if targets is None else targets
+    )
+    assert run("pipeline", "--config", str(cfg_path)) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_pipeline_reduce_writes_history(corpus, tmp_path):

@@ -16,7 +16,9 @@ from wavetriage.extract import (
     ValueEncoding,
     WaveWindow,
     assemble,
+    dataset_csv_sizes,
     read_dataset_csv,
+    rough_csv_size,
     sample_window,
     standardize,
     summarize,
@@ -291,3 +293,104 @@ class TestCsv:
         sub = ds.subset_signals(["b"])
         assert sub.feature_names == ["b__mean", "b__std"]
         assert sub.matrix.tolist() == [[3.0, 4.0]]
+
+
+# Values whose formatted length is easy to get wrong: signed zeros, the x/z
+# encodings, reals, the 2- to 3-digit exponent edge of "%.17e", a float below
+# a power of ten that formats as that power (1e153 < 10**153) and subnormals.
+EDGE_VALUES = [
+    0.0,
+    -0.0,
+    1.0,
+    -1.0,
+    -2.0,
+    3.14159,
+    -123456.789,
+    1e-5,
+    1e16,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    1e99,
+    9.999999999999999e99,
+    1e100,
+    -1e100,
+    1e-99,
+    9.99999999999999999e-100,
+    1e-100,
+    1.0000000000000001e-100,
+    1e153,
+    2.2250738585072014e-308,
+    5e-324,
+    -5e-324,
+    1.5e-310,
+]
+
+
+class TestByteCounts:
+    def _edge_matrix(self, rows=7):
+        rng = random.Random(5)
+        return np.array([[rng.choice(EDGE_VALUES) for _ in range(len(EDGE_VALUES))] for _ in range(rows)])
+
+    def test_rough_size_equals_formatted_length(self):
+        matrix = np.vstack([np.array([EDGE_VALUES]), self._edge_matrix()])
+        for cap in (matrix.shape[0], 3, 40):  # as is, trimmed, zero-padded
+            win = standardize(window_of(matrix), cap)
+            buf = io.StringIO()
+            write_rough_csv(win, buf)
+            assert rough_csv_size(win) == len(buf.getvalue())
+
+    def test_rough_size_of_a_sampled_window(self):
+        sel = make_selection(("top.a", "!", 1), ("top.b", "%", 8), ("top.r", "&", 64))
+        changes = [
+            ValueChange(0, "!", "x"),
+            ValueChange(3, "%", "1x01"),
+            ValueChange(3, "!", "z"),
+            ValueChange(8, "&", "r-0.0"),
+            ValueChange(12, "%", "11111111"),
+            ValueChange(12, "&", "r1e-320"),
+        ]
+        win = standardize(sample_window(changes, sel, tick_cap=10), 10)
+        buf = io.StringIO()
+        write_rough_csv(win, buf)
+        assert rough_csv_size(win) == len(buf.getvalue())
+
+    def test_rough_size_keeps_quoted_signal_names(self):
+        win = window_of(np.zeros((2, 2)))
+        win.signals = ['top.a,b', 'top."q"']
+        buf = io.StringIO()
+        write_rough_csv(win, buf)
+        assert rough_csv_size(win) == len(buf.getvalue())
+
+    def test_dataset_sizes_equal_formatted_lengths(self):
+        matrix = np.vstack([np.array([EDGE_VALUES]), self._edge_matrix(5)])
+        names = [f"s{i}__mean" for i in range(matrix.shape[1])]
+        ds = Dataset(
+            feature_names=names,
+            matrix=matrix,
+            labels=["alu", "a,b", 'q"q', "", "x", "y"],
+            scenario_ids=["s0", "s1", "s2", "", "s 4", "s5#01"],
+        )
+        buf = io.StringIO()
+        write_dataset_csv(ds, buf)
+        header, rows = dataset_csv_sizes(ds)
+        lines = buf.getvalue().splitlines(keepends=True)
+        assert [header, *rows] == [len(line) for line in lines]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+    def test_sizes_of_random_floats(self, values):
+        matrix = np.array([values, values[::-1]])
+        buf = io.StringIO()
+        write_rough_csv(window_of(matrix), buf)
+        assert rough_csv_size(window_of(matrix)) == len(buf.getvalue())
+        ds = Dataset([f"f{i}" for i in range(len(values))], matrix, ["a", "b"], ["s0", "s1"])
+        buf = io.StringIO()
+        write_dataset_csv(ds, buf)
+        header, rows = dataset_csv_sizes(ds)
+        assert header + sum(rows) == len(buf.getvalue())
+
+    def test_dataset_sizes_of_an_empty_dataset(self):
+        ds = Dataset(["a__mean"], np.empty((0, 1)), [], [])
+        buf = io.StringIO()
+        write_dataset_csv(ds, buf)
+        assert dataset_csv_sizes(ds) == (len(buf.getvalue()), [])

@@ -5,13 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from wavetriage.extract import write_dataset_csv
+from wavetriage.extract import Dataset, EmptyDump, write_dataset_csv
 from wavetriage.fixtures import (
     build_scenarios,
     gen_design,
     materialize_corpus,
     simulator_command,
 )
+from wavetriage.vcd import MalformedChange
 from wavetriage.orchestrate import (
     JobResult,
     NoFailingWaveforms,
@@ -272,3 +273,77 @@ def test_stage_size_report_merge_adds_counts_and_keeps_order():
     assert total == StageSizeReport(
         raw=11, rough=22, compressed=33, final=44, tick_capped=["a", "c", "b"]
     )
+
+
+def _fixture_jobs(corpus, count):
+    """``count`` done jobs over the corpus waveforms (reused round-robin)."""
+    paths = sorted((corpus.root / "vcds").glob("*.vcd"))
+    return [
+        JobResult(f"job-{i:03d}", path.stem.split("-")[1], "done", [str(path)], 0.0, 1)
+        for i, path in enumerate(paths[i % len(paths)] for i in range(count))
+    ]
+
+
+def test_pipeline_identical_for_one_two_and_three_workers(corpus, tmp_path):
+    # 17 payloads: two workers get chunks of 2, so the last chunk is short
+    jobs = _fixture_jobs(corpus, 17)
+    outputs = []
+    for workers in (1, 2, 3):
+        cfg = config_for(corpus, tmp_path, worker_count=workers, tick_cap=80)
+        dataset, report = run_data_pipeline(jobs, cfg)
+        outputs.append((_dataset_bytes(dataset), report))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_stage_sizes_equal_the_formatted_csvs(corpus, tmp_path):
+    cfg = config_for(corpus, tmp_path, reseed_count=2, keep_rough=True, tick_cap=80)
+    jobs = scenario_jobs(cfg, tmp_path / "scratch", "train", 1)
+    dataset, report = run_data_pipeline(dispatch(jobs, cfg), cfg)
+    rough_files = sorted((Path(cfg.out_dir) / "rough").glob("*.csv"))
+    assert len(rough_files) == 2 * len(jobs)
+    assert report.rough == sum(len(p.read_text()) for p in rough_files)
+    assert report.final == len(_dataset_bytes(dataset))
+    per_scenario = {}
+    for i, scenario_id in enumerate(dataset.scenario_ids):
+        per_scenario.setdefault(scenario_id.split("#")[0], []).append(i)
+    assert len(per_scenario) == len(jobs)
+    scenario_csvs = [
+        Dataset(
+            dataset.feature_names,
+            dataset.matrix[rows],
+            [dataset.labels[i] for i in rows],
+            [dataset.scenario_ids[i] for i in rows],
+        )
+        for rows in per_scenario.values()
+    ]
+    assert report.compressed == sum(len(_dataset_bytes(ds)) for ds in scenario_csvs)
+
+
+def _corrupt_body(path, out):
+    text = path.read_text(encoding="latin-1")
+    header, body = text.split("$enddefinitions $end\n", 1)
+    lines = body.splitlines(keepends=True)
+    vector = next(i for i, line in enumerate(lines) if line.startswith("b"))
+    lines[vector] = "bq " + lines[vector].split()[1] + "\n"
+    out.write_text(header + "$enddefinitions $end\n" + "".join(lines), encoding="latin-1")
+
+
+def _empty_body(path, out):
+    text = path.read_text(encoding="latin-1")
+    out.write_text(text.split("$enddefinitions $end\n", 1)[0] + "$enddefinitions $end\n")
+
+
+@pytest.mark.parametrize("corrupt, error", [(_corrupt_body, MalformedChange), (_empty_body, EmptyDump)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extraction_error_names_file_and_scenario(corpus, tmp_path, corrupt, error, workers):
+    jobs = _fixture_jobs(corpus, 5)
+    bad = tmp_path / "bad.vcd"
+    corrupt(Path(jobs[3].vcd_paths[0]), bad)
+    jobs[3].vcd_paths = [str(bad)]
+    cfg = config_for(corpus, tmp_path, worker_count=workers)
+    with pytest.raises(error) as info:
+        run_data_pipeline(jobs, cfg)
+    assert type(info.value) is error
+    assert str(bad) in str(info.value)
+    assert jobs[3].scenario_id in str(info.value)

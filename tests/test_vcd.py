@@ -310,3 +310,173 @@ def test_fuzz_mutations_never_crash():
         except Exception:  # noqa: BLE001 - the property under test
             crashes += 1
     assert crashes == 0
+
+
+# ---------------------------------------------------------------------------
+# Block tokenizer: the same changes, problems and errors as line-by-line
+# splitting, whatever the block size and the kind of stream.
+
+
+def _line_by_line_changes(lines, id_filter=frozenset(), *, strict=True, on_problem=None):
+    """Reference parser: split each line on its own (the parser's behaviour
+    before it read in blocks)."""
+    keep_all = not id_filter
+
+    def report(exc):
+        if isinstance(exc, TimeRegression) or not strict:
+            if on_problem is not None:
+                on_problem(exc)
+        else:
+            raise exc
+
+    current_time = 0
+    pending_value = None
+    in_comment = False
+    for raw in lines:
+        if isinstance(raw, bytes):
+            raw = raw.decode("latin-1")
+        for tok in raw.split():
+            if in_comment:
+                if tok == "$end":
+                    in_comment = False
+                continue
+            if pending_value is not None:
+                value, pending_value = pending_value, None
+                if tok in vcd._BODY_KEYWORDS:
+                    report(MalformedChange(f"vector value without identifier before {tok!r}"))
+                    continue
+                if keep_all or tok in id_filter:
+                    yield ValueChange(current_time, tok, value)
+                continue
+            c0 = tok[0]
+            if c0 == "#":
+                try:
+                    t = int(tok[1:])
+                except ValueError:
+                    report(MalformedChange(f"bad timestamp {tok!r}"))
+                    continue
+                if t < 0 or t > vcd.MAX_TICK:
+                    report(MalformedChange(f"timestamp {tok!r} outside 64-bit tick range"))
+                    continue
+                if t < current_time:
+                    report(TimeRegression(f"timestamp went backwards: {current_time} -> {t}"))
+                current_time = t
+            elif c0 in "01xzXZ":
+                ident = tok[1:]
+                if not ident:
+                    report(MalformedChange(f"scalar change {tok!r} missing identifier"))
+                    continue
+                if keep_all or ident in id_filter:
+                    yield ValueChange(current_time, ident, c0.lower())
+            elif c0 in "bB":
+                bits = tok[1:].lower()
+                if not bits or not set("01xz").issuperset(bits):
+                    report(MalformedChange(f"bad vector value {tok!r}"))
+                    continue
+                pending_value = bits
+            elif c0 in "rR":
+                num = tok[1:]
+                try:
+                    float(num)
+                except ValueError:
+                    report(MalformedChange(f"bad real value {tok!r}"))
+                    continue
+                pending_value = "r" + num
+            elif tok in vcd._BODY_KEYWORDS:
+                if tok == "$comment":
+                    in_comment = True
+            else:
+                report(MalformedChange(f"unrecognized change record {tok!r}"))
+    if pending_value is not None:
+        report(MalformedChange("vector value at end of file missing identifier"))
+
+
+def _outcome(parse, stream, **kw):
+    """Changes, reported problems and the raised error of one parse."""
+    changes, problems = [], []
+    try:
+        for change in parse(stream, on_problem=problems.append, **kw):
+            changes.append(change)
+    except vcd.VcdError as exc:
+        error = (type(exc), str(exc))
+    else:
+        error = None
+    return changes, [(type(p), str(p)) for p in problems], error
+
+
+def _streams(body: bytes):
+    text = body.decode("latin-1")
+    yield io.BytesIO(body)
+    yield io.StringIO(text)
+    yield text.splitlines(keepends=True)
+    yield body.splitlines(keepends=True)
+
+
+TRICKY_BODIES = [
+    b"#0\nb1010 %\n1!\n#15\nbx01 %\n0!\n",
+    b"#0 1! $comment a comment that spans blocks #99 b1 % $end #12345 0!",  # no newline
+    b"#0\n$dumpvars\nx!\nb0 %\n$end\n#7\nr1.25e-3 &\nR2 &\n",
+    b"#0\nbq %\n1!\n",  # bad vector value
+    b"#0\nb01\n$end\n#2\n1!\n",  # vector without identifier before a keyword
+    b"#3\n1!\n#1\n0!\n#x\n",  # time regression, then a bad timestamp
+    b"#0\n1!\nb10",  # vector at end of file missing identifier
+    b"#0\r\n1!\r\n\t#4 \x0b0! \x0cz!\x1cX!\n",  # every whitespace split() knows
+    b"#1 b10  \n\n   %  0!",  # value and identifier on different lines
+]
+
+
+@pytest.mark.parametrize("body", TRICKY_BODIES)
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 18])
+@pytest.mark.parametrize("strict", [True, False])
+def test_block_tokenizer_matches_line_by_line(monkeypatch, body, block, strict):
+    monkeypatch.setattr(vcd, "_BLOCK_CHARS", block)
+    want = _outcome(_line_by_line_changes, body.splitlines(keepends=True), strict=strict)
+    for stream in _streams(body):
+        assert _outcome(stream_changes, stream, strict=strict) == want
+    assert _outcome(stream_changes, io.BytesIO(body), id_filter={"%"}, strict=strict) == _outcome(
+        _line_by_line_changes, body.splitlines(keepends=True), id_filter={"%"}, strict=strict
+    )
+
+
+def test_block_tokenizer_after_header_on_a_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(vcd, "_BLOCK_CHARS", 5)
+    rng = random.Random(3)
+    tree, changes = _random_tree_and_changes(rng, n_signals=20, n_changes=500)
+    path = tmp_path / "w.vcd"
+    path.write_bytes(write_vcd(tree, changes))
+    for mode in ("rb", "r"):
+        with open(path, mode) as stream:
+            assert parse_header(stream) == tree
+            assert list(stream_changes(stream)) == changes
+
+
+def test_block_tokenizer_yields_value_changes():
+    stream = io.BytesIO(b"#0\n1!\nb01 %\n")
+    changes = list(stream_changes(stream))
+    assert all(type(c) is ValueChange for c in changes)
+    assert [c.id_code for c in changes] == ["!", "%"]
+
+
+@pytest.mark.parametrize("block", [1, 4, 13, 1 << 18])
+def test_block_tokenizer_matches_line_by_line_on_mutated_dumps(monkeypatch, block):
+    monkeypatch.setattr(vcd, "_BLOCK_CHARS", block)
+    rng = random.Random(block)
+    tree, changes = _random_tree_and_changes(rng, n_signals=8, n_changes=40)
+    base = write_vcd(tree, changes)
+    body_start = base.index(b"$enddefinitions $end\n") + len(b"$enddefinitions $end\n")
+    base = bytearray(base[body_start:] + b"$comment note $end\nr-1.5e3 !\n")
+    for _ in range(300):
+        mutated = bytearray(base)
+        for _ in range(rng.randrange(1, 4)):
+            pos = rng.randrange(len(mutated))
+            op = rng.randrange(3)
+            if op == 0:
+                mutated[pos] = rng.randrange(256)
+            elif op == 1:
+                del mutated[pos]
+            else:
+                mutated.insert(pos, rng.choice(b" \n$#bx!r"))
+        body = bytes(mutated)
+        strict = rng.random() < 0.5
+        want = _outcome(_line_by_line_changes, body.splitlines(keepends=True), strict=strict)
+        assert _outcome(stream_changes, io.BytesIO(body), strict=strict) == want
