@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -44,6 +45,13 @@ class ValueEncoding:
     bits defined become their unsigned integer value; vectors containing any
     x/z collapse to x_value so "unknown happened" stays visible to the
     statistics. Real values pass through numerically.
+
+    A defined vector whose value rounds to 2**1024 or above (1024 ones, or
+    any set bit at position 1024 or higher) has no float; it saturates to
+    ``sys.float_info.max``, so a wide bus keeps its waveform in the dataset
+    and still ranks above every smaller value. Leading zeros do not count:
+    a wide vector with a small value encodes exactly. Two saturated values
+    already sum to ``inf``; ``StatSet.compute`` keeps their statistics finite.
     """
 
     x_value: float = -1.0
@@ -68,9 +76,13 @@ class ValueEncoding:
             return float(int(value, 2))
         except ValueError:
             return self.x_value
+        except OverflowError:
+            return sys.float_info.max
 
 
 _BASE_STATS = ("mean", "std", "min", "max")
+# Scaled by this, the largest float leaves room for a sum of 2**100 squares.
+_OVERFLOW_SCALE = 2.0**600
 
 
 @dataclass(frozen=True)
@@ -107,9 +119,24 @@ class StatSet:
         return cls(tuple(part.strip() for part in spec.split(",") if part.strip()))
 
     def compute(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-column statistics of a (ticks x signals) matrix -> (signals, n)."""
+        """Per-column statistics of a (ticks x signals) matrix -> (signals, n).
+
+        The sums behind mean and std overflow on columns of values near the
+        float limit (saturated wide vectors, see ``ValueEncoding``). Such
+        columns are computed again scaled down by ``_OVERFLOW_SCALE``: a power
+        of two, so every statistic is the one an unbounded exponent range
+        would give (exactly so for values of magnitude 2**-422 and above)."""
         if matrix.ndim != 2 or matrix.shape[0] < 1:
             raise ValueError("summarize needs a standardized, non-empty window")
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = self._compute(matrix)
+        overflowed = ~np.isfinite(stats).all(axis=1) & np.isfinite(matrix).all(axis=0)
+        if overflowed.any():
+            scaled = self._compute(matrix[:, overflowed] / _OVERFLOW_SCALE)
+            stats[overflowed] = scaled * _OVERFLOW_SCALE
+        return stats
+
+    def _compute(self, matrix: np.ndarray) -> np.ndarray:
         rows = []
         quantile_names = [n for n in self.names if n not in _BASE_STATS]
         quantiles = {}

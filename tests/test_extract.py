@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -66,6 +67,19 @@ class TestEncoding:
 
     def test_real_passthrough(self):
         assert ENC.encode("r3.25") == 3.25
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1" * 1024, "1" + "0" * 1024, "1" * 4096, "1" + "0" * 4095],
+        ids=["1024-ones", "1025-bits", "4096-ones", "4096-bits"],
+    )
+    def test_vector_beyond_float_range_saturates(self, value):
+        assert ENC.encode(value) == sys.float_info.max
+
+    def test_wide_vector_with_leading_zeros_is_exact(self):
+        assert ENC.encode("0" * 1977 + "1" * 24) == float(2**24 - 1)
+        assert ENC.encode("0" * 978 + "1" * 1023) == float(2**1023 - 1)
+        assert ENC.encode("1" * 1023) < ENC.encode("1" * 1024)
 
 
 class TestSampleWindow:
@@ -203,6 +217,25 @@ class TestSummarize:
                 expected += [mean, math.sqrt(var), min(col), max(col)]
                 expected += [brute_quantile(col, q) for q in (0.1, 0.25, 0.5, 0.75, 0.9)]
             assert np.allclose(got, expected, atol=1e-9, rtol=0)
+
+    def test_columns_near_the_float_limit_stay_finite(self):
+        big = sys.float_info.max
+        column = [big, -2.0, big, 3.0, big]
+        plain = np.array([0.5, 1.0, -4.0, 2.0, 7.0])
+        stats = StatSet()
+        got = stats.compute(np.column_stack([column, plain]))
+        assert np.isfinite(got).all()
+        # the ordinary column is computed as before, bit for bit
+        assert got[1].tobytes() == stats.compute(plain[:, None])[0].tobytes()
+        by_name = dict(zip(stats.names, got[0]))
+        # exact references, scaled by big so that nothing overflows
+        scaled = [v / big for v in column]
+        mean = sum(scaled) / len(scaled)
+        var = sum((v - mean) ** 2 for v in scaled) / (len(scaled) - 1)
+        assert by_name["mean"] == pytest.approx(mean * big, rel=1e-15)
+        assert by_name["std"] == pytest.approx(math.sqrt(var) * big, rel=1e-15)
+        assert (by_name["min"], by_name["max"], by_name["q50"]) == (-2.0, big, big)
+        assert by_name["q25"] == 3.0
 
     def test_custom_stat_set_parse(self):
         stats = StatSet.parse("mean,q50")

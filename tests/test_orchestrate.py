@@ -3,6 +3,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wavetriage.extract import Dataset, EmptyDump, write_dataset_csv
@@ -347,3 +348,37 @@ def test_extraction_error_names_file_and_scenario(corpus, tmp_path, corrupt, err
     assert type(info.value) is error
     assert str(bad) in str(info.value)
     assert jobs[3].scenario_id in str(info.value)
+
+
+def _widen_target(path, out, width=1100):
+    """Declare the first ``*_acc_q`` register ``width`` bits wide and set
+    bit ``width - 1`` in every value it takes."""
+    text = path.read_text(encoding="latin-1")
+    header, body = text.split("$enddefinitions $end\n", 1)
+    lines = header.splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("$var reg 8 ") and "_acc_q" in line)
+    _, kind, _, code, name, end = lines[at].split()
+    lines[at] = f"$var {kind} {width} {code} {name} {end}\n"
+    body_lines = body.splitlines(keepends=True)
+    widened = 0
+    for i, line in enumerate(body_lines):
+        if line.startswith("b") and line.split()[1] == code:
+            bits = line.split()[0][1:]
+            body_lines[i] = f"b1{bits.rjust(width - 1, '0')} {code}\n"
+            widened += 1
+    assert widened
+    out.write_text("".join(lines) + "$enddefinitions $end\n" + "".join(body_lines), encoding="latin-1")
+    return name
+
+
+def test_waveform_with_a_1100_bit_target_gives_a_row(corpus, tmp_path):
+    jobs = _fixture_jobs(corpus, 1)
+    wide = tmp_path / "wide.vcd"
+    name = _widen_target(Path(jobs[0].vcd_paths[0]), wide)
+    jobs[0].vcd_paths = [str(wide)]
+    dataset, _ = run_data_pipeline(jobs, config_for(corpus, tmp_path))
+    assert len(dataset) == 1
+    row = dict(zip(dataset.feature_names, dataset.matrix[0]))
+    maxima = [v for k, v in row.items() if k.endswith(f".{name}__max")]
+    assert maxima.count(sys.float_info.max) == 1  # one instance of the leaf name was widened
+    assert np.isfinite(dataset.matrix).all()
