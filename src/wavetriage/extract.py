@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import sys
 from collections import deque
 from dataclasses import dataclass, replace
@@ -37,6 +38,10 @@ class HeaderMismatch(ExtractError):
     pass
 
 
+class NonFiniteReal(ExtractError):
+    """A ``real`` value change is infinite or NaN, or overflows a float."""
+
+
 @dataclass(frozen=True)
 class ValueEncoding:
     """Numeric encoding of four-state values.
@@ -44,7 +49,9 @@ class ValueEncoding:
     Scalars: 0 -> 0.0, 1 -> 1.0, x -> x_value, z -> z_value. Vectors with all
     bits defined become their unsigned integer value; vectors containing any
     x/z collapse to x_value so "unknown happened" stays visible to the
-    statistics. Real values pass through numerically.
+    statistics. Real values pass through numerically; one that is not
+    finite (``rinf``, ``rnan``, or ``r1e309``, beyond the float range) has
+    no statistics and raises ``NonFiniteReal``.
 
     A defined vector whose value rounds to 2**1024 or above (1024 ones, or
     any set bit at position 1024 or higher) has no float; it saturates to
@@ -71,7 +78,10 @@ class ValueEncoding:
                 return self.x_value
             return self.z_value
         if value[0] == "r":
-            return float(value[1:])
+            number = float(value[1:])
+            if not math.isfinite(number):
+                raise NonFiniteReal(f"non-finite real value {value!r}")
+            return number
         try:
             return float(int(value, 2))
         except ValueError:

@@ -116,16 +116,8 @@ def reduce_signals(
         for module, members in by_module(signals).items():
             if not kept.intersection(members):
                 kept.add(_sorted_by_importance(members, ranking.per_signal_importance)[0])
-        if len(kept) >= len(signals):
-            # pinning blocked all progress; nothing further can be dropped
-            history.append(
-                SignalRanking(
-                    per_signal_importance=ranking.per_signal_importance,
-                    iteration=iteration,
-                    retained=_sorted_by_importance(sorted(kept), ranking.per_signal_importance),
-                )
-            )
-            break
+        # when pinning puts back every signal the pass would drop, stop
+        blocked = len(kept) >= len(signals)
         signals = [s for s in signals if s in kept]
         history.append(
             SignalRanking(
@@ -134,6 +126,8 @@ def reduce_signals(
                 retained=_sorted_by_importance(signals, ranking.per_signal_importance),
             )
         )
+        if blocked:
+            break
     return train.subset_signals(signals), history
 
 

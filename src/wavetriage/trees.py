@@ -381,71 +381,51 @@ class GradientBoostedTrees:
         return -p.learning_rate * G / (H + p.reg_lambda)
 
     def _fit_tree(self, bins, flat, split_features, stride, g, h):
+        """Grow one tree from a single frontier of split candidates.
+
+        A node gets its candidate when it is created and waits on one heap
+        until it is split. The growth mode picks only the heap key and the
+        stop rule. Level-wise growth keys by creation order, so nodes split
+        breadth first until none can, and a node at ``max_depth`` becomes a
+        leaf without a candidate. Leaf-wise growth keys by ``-gain`` and
+        stops at ``max_leaves``; whatever is still queued becomes a leaf.
+        Returns the tree and the rows of each leaf."""
         p = self.params
+        level = p.growth == "level"
         builder = _TreeBuilder()
         leaf_rows: list[tuple[int, np.ndarray]] = []
-        root_rows = np.arange(bins.shape[0])
+        frontier: list[tuple] = []  # (key, seq, rows, node, candidate, G, H, depth)
+        seq = 0
 
-        if p.growth == "level":
-            from collections import deque
-
-            root = builder.add()
-            queue = deque([(root_rows, root, 0)])
-            while queue:
-                rows, node, depth = queue.popleft()
-                if depth >= p.max_depth or rows.size < 2:
-                    cand = None
-                    G, H = float(g[rows].sum()), float(h[rows].sum())
-                else:
-                    cand, G, H = self._node_candidate(flat, split_features, stride, rows, g, h)
-                if cand is None:
-                    builder.value[node] = self._leaf_value(G, H)
-                    leaf_rows.append((node, rows))
-                    continue
-                self.feature_gain[cand.feature] += cand.gain
-                go_left = bins[rows, cand.feature] <= cand.boundary
-                left = builder.add()
-                right = builder.add()
-                builder.set_split(node, cand.feature, cand.threshold, left, right)
-                queue.append((rows[go_left], left, depth + 1))
-                queue.append((rows[~go_left], right, depth + 1))
-        elif p.growth == "leaf":
-            root = builder.add()
-            heap: list[tuple[float, int, np.ndarray, int, _Candidate, float, float]] = []
-            seq = 0
-
-            def push(rows: np.ndarray, node: int):
-                nonlocal seq
-                if rows.size < 2:
-                    cand, G, H = None, float(g[rows].sum()), float(h[rows].sum())
-                else:
-                    cand, G, H = self._node_candidate(flat, split_features, stride, rows, g, h)
-                if cand is None:
-                    builder.value[node] = self._leaf_value(G, H)
-                    leaf_rows.append((node, rows))
-                else:
-                    heapq.heappush(heap, (-cand.gain, seq, rows, node, cand, G, H))
-                    seq += 1
-
-            push(root_rows, root)
-            n_leaves = 1
-            while heap and n_leaves < p.max_leaves:
-                _, _, rows, node, cand, _, _ = heapq.heappop(heap)
-                self.feature_gain[cand.feature] += cand.gain
-                go_left = bins[rows, cand.feature] <= cand.boundary
-                left = builder.add()
-                right = builder.add()
-                builder.set_split(node, cand.feature, cand.threshold, left, right)
-                push(rows[go_left], left)
-                push(rows[~go_left], right)
-                n_leaves += 1
-            # whatever is still queued stays a leaf
-            for _, _, rows, node, _, G, H in heap:
+        def push(rows: np.ndarray, node: int, depth: int):
+            nonlocal seq
+            if rows.size < 2 or (level and depth >= p.max_depth):
+                cand, G, H = None, float(g[rows].sum()), float(h[rows].sum())
+            else:
+                cand, G, H = self._node_candidate(flat, split_features, stride, rows, g, h)
+            if cand is None:
                 builder.value[node] = self._leaf_value(G, H)
                 leaf_rows.append((node, rows))
-        else:
-            raise ValueError(f"unknown growth strategy {p.growth!r}")
+            else:
+                key = seq if level else -cand.gain
+                heapq.heappush(frontier, (key, seq, rows, node, cand, G, H, depth))
+                seq += 1
 
+        push(np.arange(bins.shape[0]), builder.add(), 0)
+        n_leaves = 1
+        while frontier and (level or n_leaves < p.max_leaves):
+            _, _, rows, node, cand, _, _, depth = heapq.heappop(frontier)
+            self.feature_gain[cand.feature] += cand.gain
+            go_left = bins[rows, cand.feature] <= cand.boundary
+            left = builder.add()
+            right = builder.add()
+            builder.set_split(node, cand.feature, cand.threshold, left, right)
+            push(rows[go_left], left, depth + 1)
+            push(rows[~go_left], right, depth + 1)
+            n_leaves += 1
+        for _, _, rows, node, _, G, H, _ in frontier:
+            builder.value[node] = self._leaf_value(G, H)
+            leaf_rows.append((node, rows))
         return builder.freeze(), leaf_rows
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -373,6 +374,34 @@ def test_pipeline_names_the_first_failed_job(corpus, tmp_path, capsys):
     first = f"train-{sorted(corpus.modules)[0]}-0000"
     assert f"{len(corpus.modules)} job(s) failed after retries; first: {first} (exit code 7)" in err
     assert "license server down" in err
+
+
+def test_pipeline_non_finite_real_is_exit_2(corpus, tmp_path, capsys):
+    """Every simulation writes a waveform whose ``*_acc_q`` register is
+    redeclared ``real`` with a value beyond the float range."""
+    source = sorted((corpus.root / "vcds").glob("*.vcd"))[0]
+    header, body = source.read_text(encoding="latin-1").split("$enddefinitions $end\n", 1)
+    var = next(line for line in header.splitlines() if line.startswith("$var reg 8 ") and "_acc_q" in line)
+    code = var.split()[3]
+    header = header.replace(var, var.replace("$var reg 8 ", "$var real 64 "))
+    body = "".join(
+        f"r1e309 {code}\n" if line.startswith("b") and line.split()[1] == code else line
+        for line in body.splitlines(keepends=True)
+    )
+    bad = tmp_path / "bad.vcd"
+    bad.write_text(header + "$enddefinitions $end\n" + body, encoding="latin-1")
+    cfg_path = pipeline_config(
+        corpus,
+        tmp_path / "run",
+        simulator=f"cp {shlex.quote(str(bad))} {{vcd_out}}",
+        worker_count=1,
+        train_per_module=1,
+        test_per_module=1,
+    )
+    assert run("pipeline", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    first = f"train-{sorted(corpus.modules)[0]}-0000"
+    assert f"{first}/wave_00.vcd (scenario {first}): non-finite real value 'r1e309'" in err
 
 
 def test_report_ablation_table(tmp_path, corpus):

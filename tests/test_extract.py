@@ -13,6 +13,7 @@ from wavetriage.extract import (
     EmptyDump,
     FeatureRow,
     HeaderMismatch,
+    NonFiniteReal,
     StatSet,
     ValueEncoding,
     WaveWindow,
@@ -67,6 +68,12 @@ class TestEncoding:
 
     def test_real_passthrough(self):
         assert ENC.encode("r3.25") == 3.25
+
+    @pytest.mark.parametrize("value", ["rinf", "r-inf", "rnan", "r1e309", "r-1e309"])
+    def test_non_finite_real_raises(self, value):
+        with pytest.raises(NonFiniteReal) as info:
+            ENC.encode(value)
+        assert repr(value) in str(info.value)
 
     @pytest.mark.parametrize(
         "value",

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavetriage.extract import Dataset, EmptyDump, write_dataset_csv
+from wavetriage.extract import Dataset, EmptyDump, NonFiniteReal, write_dataset_csv
 from wavetriage.fixtures import (
     build_scenarios,
     gen_design,
@@ -335,7 +335,27 @@ def _empty_body(path, out):
     out.write_text(text.split("$enddefinitions $end\n", 1)[0] + "$enddefinitions $end\n")
 
 
-@pytest.mark.parametrize("corrupt, error", [(_corrupt_body, MalformedChange), (_empty_body, EmptyDump)])
+def _non_finite_real(path, out):
+    """Redeclare the first ``*_acc_q`` register ``real 64``: its values become
+    reals, and the last one is beyond the float range."""
+    text = path.read_text(encoding="latin-1")
+    header, body = text.split("$enddefinitions $end\n", 1)
+    lines = header.splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("$var reg 8 ") and "_acc_q" in line)
+    _, _, _, code, name, end = lines[at].split()
+    lines[at] = f"$var real 64 {code} {name} {end}\n"
+    body_lines = body.splitlines(keepends=True)
+    changes = [i for i, line in enumerate(body_lines) if line.startswith("b") and line.split()[1] == code]
+    for i in changes:
+        body_lines[i] = f"r{int(body_lines[i].split()[0][1:], 2)} {code}\n"
+    body_lines[changes[-1]] = f"r1e309 {code}\n"
+    out.write_text("".join(lines) + "$enddefinitions $end\n" + "".join(body_lines), encoding="latin-1")
+
+
+@pytest.mark.parametrize(
+    "corrupt, error",
+    [(_corrupt_body, MalformedChange), (_empty_body, EmptyDump), (_non_finite_real, NonFiniteReal)],
+)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_extraction_error_names_file_and_scenario(corpus, tmp_path, corrupt, error, workers):
     jobs = _fixture_jobs(corpus, 5)

@@ -120,6 +120,25 @@ def test_reduce_pins_single_signal_module():
     assert len(reduced.signal_names()) <= 5 + 1  # limit plus the pinned signal
 
 
+def test_reduce_stops_when_pinning_keeps_every_signal():
+    # three one-signal modules: keeping ceil(0.6 * 3) = 2 leaves one module
+    # to pin back, so the pass drops nothing and reduction stops there
+    n = 30
+    rng = np.random.default_rng(6)
+    labels = two_class_labels(n)
+    signals = ["c_sig", "a_sig", "b_sig"]
+    matrix = rng.normal(size=(n, 3))
+    matrix[:, 1] += [0 if l == "modA" else 5 for l in labels]
+    ds = dataset_with_signals(matrix, signals, labels)
+    coverage = {s: s[0] for s in signals}
+    reduced, history = reduce_signals(ds, coverage, max_signals=1, params=FAST)
+    assert reduced.signal_names() == signals
+    assert len(history) == 1
+    importance = history[0].per_signal_importance
+    assert history[0].retained == sorted(signals, key=lambda s: (-importance[s], s))
+    assert history[0].retained[0] == "a_sig"
+
+
 def test_coverage_gap_detected():
     ds = dataset_with_signals(np.zeros((6, 2)), ["a", "b"], two_class_labels(6))
     with pytest.raises(CoverageGap):

@@ -1,9 +1,13 @@
-"""GBT split search: the data-sized histogram layout and its in-place gain
-kernel must grow exactly the trees of the fixed-stride layout they replaced,
-must cope with data where no feature can split, and must not fault in fresh
-histogram-sized pages at every node."""
+"""GBT split search and tree growth: the data-sized histogram layout and
+its in-place gain kernel must grow exactly the trees of the fixed-stride
+layout they replaced, the single-frontier growth loop exactly the trees of
+the two growth loops it replaced; the fit must cope with data where no
+feature can split, and must not fault in fresh histogram-sized pages at
+every node."""
 
+import heapq
 import resource
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,7 +15,14 @@ import pytest
 from wavetriage.extract import Dataset
 from wavetriage.models import fit
 from wavetriage.ranking import RANKING_PARAMS
-from wavetriage.trees import GBTParams, GradientBoostedTrees, _BinMapper, _Candidate, _softmax
+from wavetriage.trees import (
+    GBTParams,
+    GradientBoostedTrees,
+    _BinMapper,
+    _Candidate,
+    _TreeBuilder,
+    _softmax,
+)
 
 
 class FixedStrideGBT(GradientBoostedTrees):
@@ -81,6 +92,75 @@ class FixedStrideGBT(GradientBoostedTrees):
         feature, boundary = divmod(best, stride - 1)
         threshold = float(self.mapper.cuts[feature][boundary])
         return _Candidate(best_gain, feature, boundary, threshold), G, H
+
+
+class TwoBranchGBT(GradientBoostedTrees):
+    """Reference: level-wise growth as a breadth-first queue and leaf-wise
+    growth as a best-gain heap, each with its own leaf and split steps, as
+    ``_fit_tree`` grew trees before one frontier served both."""
+
+    def _fit_tree(self, bins, flat, split_features, stride, g, h):
+        p = self.params
+        builder = _TreeBuilder()
+        leaf_rows = []
+        root_rows = np.arange(bins.shape[0])
+
+        if p.growth == "level":
+            root = builder.add()
+            queue = deque([(root_rows, root, 0)])
+            while queue:
+                rows, node, depth = queue.popleft()
+                if depth >= p.max_depth or rows.size < 2:
+                    cand = None
+                    G, H = float(g[rows].sum()), float(h[rows].sum())
+                else:
+                    cand, G, H = self._node_candidate(flat, split_features, stride, rows, g, h)
+                if cand is None:
+                    builder.value[node] = self._leaf_value(G, H)
+                    leaf_rows.append((node, rows))
+                    continue
+                self.feature_gain[cand.feature] += cand.gain
+                go_left = bins[rows, cand.feature] <= cand.boundary
+                left = builder.add()
+                right = builder.add()
+                builder.set_split(node, cand.feature, cand.threshold, left, right)
+                queue.append((rows[go_left], left, depth + 1))
+                queue.append((rows[~go_left], right, depth + 1))
+        else:
+            root = builder.add()
+            heap = []
+            seq = 0
+
+            def push(rows, node):
+                nonlocal seq
+                if rows.size < 2:
+                    cand, G, H = None, float(g[rows].sum()), float(h[rows].sum())
+                else:
+                    cand, G, H = self._node_candidate(flat, split_features, stride, rows, g, h)
+                if cand is None:
+                    builder.value[node] = self._leaf_value(G, H)
+                    leaf_rows.append((node, rows))
+                else:
+                    heapq.heappush(heap, (-cand.gain, seq, rows, node, cand, G, H))
+                    seq += 1
+
+            push(root_rows, root)
+            n_leaves = 1
+            while heap and n_leaves < p.max_leaves:
+                _, _, rows, node, cand, _, _ = heapq.heappop(heap)
+                self.feature_gain[cand.feature] += cand.gain
+                go_left = bins[rows, cand.feature] <= cand.boundary
+                left = builder.add()
+                right = builder.add()
+                builder.set_split(node, cand.feature, cand.threshold, left, right)
+                push(rows[go_left], left)
+                push(rows[~go_left], right)
+                n_leaves += 1
+            for _, _, rows, node, _, G, H in heap:
+                builder.value[node] = self._leaf_value(G, H)
+                leaf_rows.append((node, rows))
+
+        return builder.freeze(), leaf_rows
 
 
 def mixed_matrix(seed, n_rows, n_classes):
@@ -167,7 +247,14 @@ def test_sized_histograms_match_fixed_stride_bit_for_bit(case):
     if make is not dense_matrix:
         assert any(cuts.size == 0 for cuts in new.mapper.cuts)
     assert sum(len(tree.feature) for rnd in new.trees for tree in rnd) > len(new.trees) * n_classes
-    assert len(new.trees) == len(ref.trees) == params.n_rounds
+    assert_same_model(new, ref, X)
+    # the split-search workspace lives only for the fit; the model pickles vars()
+    assert sorted(vars(new)) == ["feature_gain", "mapper", "n_classes", "params", "seed", "trees"]
+
+
+def assert_same_model(new, ref, X):
+    """Tree arrays, feature gains and probabilities equal byte for byte."""
+    assert len(new.trees) == len(ref.trees) == new.params.n_rounds
     for new_round, ref_round in zip(new.trees, ref.trees):
         for a, b in zip(new_round, ref_round, strict=True):
             for name in ("feature", "threshold", "left", "right", "value"):
@@ -177,8 +264,64 @@ def test_sized_histograms_match_fixed_stride_bit_for_bit(case):
     assert new.feature_gain.tobytes() == ref.feature_gain.tobytes()
     probe = np.vstack([X, X[::7] + 0.05])
     assert new.predict_proba(probe).tobytes() == ref.predict_proba(probe).tobytes()
-    # the split-search workspace lives only for the fit; the model pickles vars()
-    assert sorted(vars(new)) == ["feature_gain", "mapper", "n_classes", "params", "seed", "trees"]
+
+
+def three_row_matrix(_seed, n_rows, _n_classes):
+    """Labels 0, 1, 0 on one column: the root splits off one row, and the
+    other two rows split into one-row children."""
+    assert n_rows == 3
+    return np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 0])
+
+
+EDGE_CASES = {
+    "max-depth-0-level": (mixed_matrix, 90, 3, GBTParams(n_rounds=3, max_depth=0)),
+    "max-depth-0-leaf": (
+        mixed_matrix,
+        90,
+        3,
+        GBTParams(n_rounds=3, max_depth=0, growth="leaf", max_leaves=5),
+    ),
+    "max-depth-1-level": (mixed_matrix, 90, 3, GBTParams(n_rounds=4, max_depth=1)),
+    "max-depth-unreached-level": (mixed_matrix, 90, 3, GBTParams(n_rounds=3, max_depth=64)),
+    "max-leaves-1-leaf": (mixed_matrix, 90, 3, GBTParams(n_rounds=3, growth="leaf", max_leaves=1)),
+    "max-leaves-unreached-leaf": (
+        mixed_matrix,
+        90,
+        3,
+        GBTParams(n_rounds=3, growth="leaf", max_leaves=10_000),
+    ),
+    "three-rows-level": (three_row_matrix, 3, 2, GBTParams(n_rounds=3)),
+    "three-rows-leaf": (three_row_matrix, 3, 2, GBTParams(n_rounds=3, growth="leaf")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + sorted(EDGE_CASES))
+def test_single_frontier_matches_two_branch_growth(case):
+    make, n_rows, n_classes, params = {**CASES, **EDGE_CASES}[case]
+    X, y = make(7, n_rows, n_classes)
+    new = GradientBoostedTrees(n_classes, params, seed=0).fit(X, y)
+    ref = TwoBranchGBT(n_classes, params, seed=0).fit(X, y)
+    assert_same_model(new, ref, X)
+
+
+def test_edge_case_shapes():
+    def tree_sizes(case):
+        make, n_rows, n_classes, params = EDGE_CASES[case]
+        model = GradientBoostedTrees(n_classes, params, seed=0).fit(*make(7, n_rows, n_classes))
+        trees = [tree for rnd in model.trees for tree in rnd]
+        return [(len(t.feature), int((t.feature < 0).sum())) for t in trees]
+
+    assert {nodes for nodes, _ in tree_sizes("max-depth-0-level")} == {1}
+    assert {nodes for nodes, _ in tree_sizes("max-leaves-1-leaf")} == {1}
+    # leaf-wise growth has no depth bound
+    assert max(leaves for _, leaves in tree_sizes("max-depth-0-leaf")) == 5
+    assert {nodes for nodes, _ in tree_sizes("max-depth-1-level")} == {3}
+    unbounded = tree_sizes("max-leaves-unreached-leaf")
+    assert max(leaves for _, leaves in unbounded) < 90
+    assert unbounded == tree_sizes("max-depth-unreached-level")
+    for case in ("three-rows-level", "three-rows-leaf"):
+        # a one-row leaf, then a split into two one-row leaves
+        assert tree_sizes(case)[0] == (5, 3)
 
 
 def test_case_shapes():
