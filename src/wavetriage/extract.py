@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import sys
 from collections import deque
 from dataclasses import dataclass, replace
@@ -39,7 +38,8 @@ class HeaderMismatch(ExtractError):
 
 
 class NonFiniteReal(ExtractError):
-    """A ``real`` value change is infinite or NaN, or overflows a float."""
+    """A value in the sampled window is infinite or NaN: a ``real`` change
+    such as ``rinf``, ``rnan`` or ``r1e309`` (beyond the float range)."""
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,9 @@ class ValueEncoding:
     Scalars: 0 -> 0.0, 1 -> 1.0, x -> x_value, z -> z_value. Vectors with all
     bits defined become their unsigned integer value; vectors containing any
     x/z collapse to x_value so "unknown happened" stays visible to the
-    statistics. Real values pass through numerically; one that is not
-    finite (``rinf``, ``rnan``, or ``r1e309``, beyond the float range) has
-    no statistics and raises ``NonFiniteReal``.
+    statistics. Real values pass through numerically, including ``rinf``,
+    ``rnan`` and ``r1e309`` (beyond the float range); ``sample_window``
+    rejects them only where they reach the window.
 
     A defined vector whose value rounds to 2**1024 or above (1024 ones, or
     any set bit at position 1024 or higher) has no float; it saturates to
@@ -78,10 +78,7 @@ class ValueEncoding:
                 return self.x_value
             return self.z_value
         if value[0] == "r":
-            number = float(value[1:])
-            if not math.isfinite(number):
-                raise NonFiniteReal(f"non-finite real value {value!r}")
-            return number
+            return float(value[1:])
         try:
             return float(int(value, 2))
         except ValueError:
@@ -267,7 +264,9 @@ def sample_window(
     ``changes`` must be the unfiltered change stream so that every timestamp
     in the file defines a sample row; each row holds every selected signal's
     last-known value (forward fill). Signals never assigned before the
-    window start hold the encoding's uninitialized value.
+    window start hold the encoding's uninitialized value. A non-finite value
+    in the window raises ``NonFiniteReal``; one overwritten before the window
+    start is harmless.
     """
     if tick_cap < 1:
         raise ValueError("tick_cap must be >= 1")
@@ -308,8 +307,16 @@ def sample_window(
     rows.append(current)
     times.append(cur_time)
 
+    matrix = np.array(list(rows), dtype=np.float64)
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonFiniteReal(
+            f"signal {names[col]!r} holds non-finite value {matrix[row, col]} "
+            f"at time {times[row]} in the sampled window"
+        )
     return WaveWindow(
-        matrix=np.array(list(rows), dtype=np.float64),
+        matrix=matrix,
         tick_times=np.array(list(times), dtype=np.int64),
         signals=list(names),
         label=label,

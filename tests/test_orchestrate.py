@@ -335,9 +335,9 @@ def _empty_body(path, out):
     out.write_text(text.split("$enddefinitions $end\n", 1)[0] + "$enddefinitions $end\n")
 
 
-def _non_finite_real(path, out):
+def _real_target(path, out, values=()):
     """Redeclare the first ``*_acc_q`` register ``real 64``: its values become
-    reals, and the last one is beyond the float range."""
+    reals, and change ``i`` of it takes ``value`` for each ``(i, value)``."""
     text = path.read_text(encoding="latin-1")
     header, body = text.split("$enddefinitions $end\n", 1)
     lines = header.splitlines(keepends=True)
@@ -346,10 +346,18 @@ def _non_finite_real(path, out):
     lines[at] = f"$var real 64 {code} {name} {end}\n"
     body_lines = body.splitlines(keepends=True)
     changes = [i for i, line in enumerate(body_lines) if line.startswith("b") and line.split()[1] == code]
+    assert len(changes) >= 2
     for i in changes:
         body_lines[i] = f"r{int(body_lines[i].split()[0][1:], 2)} {code}\n"
-    body_lines[changes[-1]] = f"r1e309 {code}\n"
+    for i, value in values:
+        body_lines[changes[i]] = f"{value} {code}\n"
     out.write_text("".join(lines) + "$enddefinitions $end\n" + "".join(body_lines), encoding="latin-1")
+
+
+def _non_finite_real(path, out):
+    """A ``real`` target whose last value, held to the end, is beyond the
+    float range."""
+    _real_target(path, out, [(-1, "r1e309")])
 
 
 @pytest.mark.parametrize(
@@ -368,6 +376,22 @@ def test_extraction_error_names_file_and_scenario(corpus, tmp_path, corrupt, err
     assert type(info.value) is error
     assert str(bad) in str(info.value)
     assert jobs[3].scenario_id in str(info.value)
+
+
+def test_non_finite_real_before_the_window_gives_a_row(corpus, tmp_path):
+    """An ``rinf`` overwritten before the last ``tick_cap`` ticks never
+    reaches the window: the row is that of the all-finite waveform."""
+    jobs = _fixture_jobs(corpus, 1)
+    source = Path(jobs[0].vcd_paths[0])
+    matrices = []
+    for name, values in (("finite", []), ("early_inf", [(0, "rinf")])):
+        path = tmp_path / f"{name}.vcd"
+        _real_target(source, path, values)
+        jobs[0].vcd_paths = [str(path)]
+        dataset, _ = run_data_pipeline(jobs, config_for(corpus, tmp_path / name, tick_cap=5))
+        matrices.append(dataset.matrix)
+    assert np.isfinite(matrices[1]).all()
+    assert matrices[0].tobytes() == matrices[1].tobytes()
 
 
 def _widen_target(path, out, width=1100):

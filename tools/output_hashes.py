@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """SHA-256 of every output of one seeded ``wavetriage pipeline`` run.
 
-    python3 tools/output_hashes.py [--seed 1] [--ref REF]
+    python3 tools/output_hashes.py [--ref REF]
 
-Generates a fixture corpus from the seed (design, scenarios and their
+Generates a fixture corpus from seed ``SEED`` (design, scenarios and their
 waveforms), runs ``wavetriage pipeline`` in-process over it with signal
 reduction on, and prints one ``sha256  relative-path`` line for each of
 ``train.csv``, ``test.csv``, ``metrics.json``, ``stage_sizes.json``,
@@ -40,6 +40,7 @@ from pathlib import Path
 from bench_pairs import export_tree  # this script's directory leads sys.path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
 OUTPUTS = (
     "train.csv",
     "test.csv",
@@ -52,12 +53,12 @@ OUTPUTS = (
 )
 
 
-def output_hashes(work: Path, seed: int) -> list[str]:
+def output_hashes(work: Path) -> list[str]:
     """Run the pipeline under ``work``; ``sha256  path`` for every output."""
     from wavetriage import cli, fixtures
 
-    design = fixtures.gen_design(work / "design", n_modules=4, seed=seed)
-    scenarios = fixtures.build_scenarios(design, 6, 6, seed=seed, difficulty="impossible")
+    design = fixtures.gen_design(work / "design", n_modules=4, seed=SEED)
+    scenarios = fixtures.build_scenarios(design, 6, 6, seed=SEED, difficulty="impossible")
     fixtures.materialize_corpus(design, scenarios, ticks=300)
     out_dir = work / "run"
     config = {
@@ -70,7 +71,7 @@ def output_hashes(work: Path, seed: int) -> list[str]:
         "worker_count": 1,
         "train_per_module": 6,
         "test_per_module": 6,
-        "seed": seed,
+        "seed": SEED,
         "reduce": True,
         "max_signals": 12,
         "models": ["gbt", "random_forest", "knn"],
@@ -91,7 +92,6 @@ def output_hashes(work: Path, seed: int) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--ref", help="hash the outputs of this commit, not of this checkout")
     args = parser.parse_args(argv)
 
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
         sys.path.insert(0, str(src))
         work = tmp / "work"
         work.mkdir()
-        lines = output_hashes(work, args.seed)
+        lines = output_hashes(work)
     print("\n".join(lines))
     return 0
 
