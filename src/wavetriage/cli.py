@@ -457,14 +457,15 @@ def cmd_pipeline(args) -> int:
 
 def _coverage_from_design(cfg) -> dict[str, str]:
     """signal -> owning target, from pruning one waveform of the corpus."""
-    from .rtl import DesignSources, scan_sources, signals_for_targets
+    from .orchestrate import design_table
+    from .rtl import signals_for_targets
     from .selection import prune
     from .vcd import list_full_names, parse_header
 
     vcds = sorted(Path(cfg.out_dir).glob("scratch/train/*/wave_*.vcd"))
     if not vcds:
         raise ValueError("no waveforms available to derive signal coverage")
-    table = scan_sources(DesignSources.from_paths(sorted(Path(cfg.design_dir).glob("*.sv"))))
+    table = design_table(cfg.design_dir)
     with open(vcds[0], "rb") as stream:
         tree = parse_header(stream)
     report = prune(

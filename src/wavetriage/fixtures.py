@@ -583,11 +583,15 @@ def materialize_corpus(
 
 
 def simulator_command() -> str:
-    """Command template for the bundled replay simulator, run by its file
-    path so the child needs no ``PYTHONPATH``."""
+    """Command template for the bundled replay simulator.
+
+    It runs by its file path, so the child needs no ``PYTHONPATH``, under
+    ``-I -S``: isolated from ``PYTHON*`` variables and the user and script
+    directories, and without ``site``, so each job costs about one bare
+    interpreter start (see ``replay_sim``)."""
     script = Path(__file__).with_name("replay_sim.py")
     return (
-        f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+        f"{shlex.quote(sys.executable)} -I -S {shlex.quote(str(script))}"
         " --manifest {design_dir}/manifest.json --scenario-id {scenario_id}"
         " --seed {seed} --vcd-out {vcd_out}"
     )

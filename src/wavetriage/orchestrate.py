@@ -10,6 +10,7 @@ so the output bytes are identical for any worker count.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
 import subprocess
@@ -35,7 +36,7 @@ from .extract import (
     write_dataset_csv,  # noqa: F401 - bench/tracing.py patches this name here
     write_rough_csv,
 )
-from .rtl import DesignSources, scan_sources, signals_for_targets
+from .rtl import DesignSources, ModuleLookupTable, scan_sources, signals_for_targets
 from .selection import prune
 from .vcd import VcdError, parse_header, list_full_names, stream_changes
 
@@ -133,8 +134,6 @@ class JobResult:
 def scenario_jobs(cfg: PipelineConfig, scratch_root, split: str, per_module: int) -> list[ScenarioJob]:
     """Jobs for one split; ids follow the ``{split}-{module}-{index}`` scheme
     shared with the fixture manifests, keeping train/test ranges disjoint."""
-    import hashlib
-
     jobs = []
     for module in cfg.targets:
         for i in range(per_module):
@@ -305,6 +304,30 @@ def _process_waveform(payload) -> dict:
     }
 
 
+_last_design: tuple[str, ModuleLookupTable] | None = None
+
+
+def design_table(design_dir) -> ModuleLookupTable:
+    """Lookup table of the ``*.sv`` sources in ``design_dir``.
+
+    The sources are read on every call, but scanned only when they differ
+    from the last call's: the table is kept under the sha256 of every path
+    and its text, so an edited source, even one with the same size and
+    mtime, is scanned again. Callers must not modify the returned table.
+    """
+    global _last_design
+    sources = DesignSources.from_paths(sorted(Path(design_dir).glob("*.sv")))
+    digest = hashlib.sha256()
+    for path, text in sources.files:
+        for part in (path.encode(), text.encode()):
+            digest.update(len(part).to_bytes(8, "little"))
+            digest.update(part)
+    key = digest.hexdigest()
+    if _last_design is None or _last_design[0] != key:
+        _last_design = (key, scan_sources(sources))
+    return _last_design[1]
+
+
 def run_data_pipeline(
     done_jobs: Sequence[JobResult], cfg: PipelineConfig
 ) -> tuple[Dataset, StageSizeReport]:
@@ -325,8 +348,7 @@ def run_data_pipeline(
     if not work:
         raise NoFailingWaveforms("no completed jobs with failing waveforms")
 
-    sources = DesignSources.from_paths(sorted(Path(cfg.design_dir).glob("*.sv")))
-    table = scan_sources(sources)
+    table = design_table(cfg.design_dir)
     target_signals = {m: sorted(v) for m, v in signals_for_targets(table, cfg.targets).items()}
 
     rough_dir = None

@@ -7,17 +7,26 @@ an EDA simulator wherever one is configured:
 
 The manifest maps scenario ids to waveform files (optionally one per seed)
 and an emulated per-run latency. Exit 0 means the simulation completed and
-the waveform was written. Imports stay minimal: process startup is part of
-every dispatched job. Only the standard library is imported, because
-``fixtures.simulator_command`` runs this file by its path, without the
-package on ``sys.path``.
+the waveform was written.
+
+Process start-up is most of what every dispatched job costs, so this file
+imports only ``json``, ``os`` and ``sys``, copies the waveform with a plain
+binary read and write instead of ``shutil`` (whose imports cost about 11 ms)
+and imports ``time`` only when it has to sleep.
+``fixtures.simulator_command`` runs it by its path as ``python -I -S``:
+``-S`` skips ``site``, which costs tens of milliseconds wherever a
+site-packages ``.pth`` file imports a package, and ``-I`` ignores
+``PYTHON*`` variables, the user site directory and this file's directory,
+so nothing of the caller's environment is imported. What remains is a bare
+interpreter start (about 12 ms on a 2-vCPU VM with Python 3.11) plus
+``json`` (about 14 ms, mostly ``re``).
 """
 
 import json
 import os
-import shutil
 import sys
-import time
+
+_COPY_CHUNK = 1 << 20
 
 
 def _parse_args(argv):
@@ -58,13 +67,19 @@ def main(argv=None) -> int:
         vcd_rel = vcd_rel[seed]
 
     source = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), vcd_rel)
-    out_dir = os.path.dirname(vcd_out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    shutil.copyfile(source, vcd_out)
+    # the source is opened first, so a missing one leaves no output behind
+    with open(source, "rb") as src:
+        out_dir = os.path.dirname(vcd_out)
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+        with open(vcd_out, "wb") as dst:
+            while chunk := src.read(_COPY_CHUNK):
+                dst.write(chunk)
 
     latency = float(args.get("latency", scenario.get("sim_latency", 0.0)))
     if latency > 0:
+        import time
+
         time.sleep(latency)
     return 0
 

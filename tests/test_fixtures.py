@@ -1,4 +1,7 @@
 import io
+import json
+import os
+import shlex
 import subprocess
 import sys
 
@@ -181,22 +184,80 @@ def test_replay_sim_runs_without_pythonpath(design, tmp_path):
     assert out.read_bytes() == expected.read_bytes()
 
 
+def _replay_args(design_dir, scenario_id, out):
+    """The argv that dispatch runs for one job of the bundled simulator."""
+    return [
+        part.format(design_dir=str(design_dir), scenario_id=scenario_id, seed=0, vcd_out=str(out))
+        for part in shlex.split(simulator_command())
+    ]
+
+
+def _replay_corpus(design):
+    """A scenario id of a materialized corpus and its waveform's bytes."""
+    scenarios = build_scenarios(design, train_per_module=1, test_per_module=1, seed=2)
+    manifest = json.loads(materialize_corpus(design, scenarios, ticks=60).read_text())
+    scenario_id = scenarios[0].scenario_id
+    return scenario_id, (design.root / manifest["scenarios"][scenario_id]["vcd"]).read_bytes()
+
+
 def test_replay_sim_unknown_scenario(design, tmp_path):
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "wavetriage.replay_sim",
-            "--manifest",
-            str(design.root / "manifest.json"),
-            "--scenario-id",
-            "nope",
-            "--vcd-out",
-            str(tmp_path / "x.vcd"),
-        ],
-        capture_output=True,
-    )
+    out = tmp_path / "x.vcd"
+    proc = subprocess.run(_replay_args(design.root, "nope", out), capture_output=True)
     assert proc.returncode == 2
+    assert b"unknown scenario 'nope'" in proc.stderr
+    assert not out.exists()
+
+
+def test_replay_sim_missing_source_leaves_no_output(tmp_path):
+    (tmp_path / "manifest.json").write_text(json.dumps({"scenarios": {"s": {"vcd": "gone.vcd"}}}))
+    out = tmp_path / "out" / "x.vcd"
+    proc = subprocess.run(_replay_args(tmp_path, "s", out), capture_output=True)
+    assert proc.returncode == 1
+    assert b"FileNotFoundError" in proc.stderr
+    assert not out.exists()
+
+
+def _imported_modules(importtime_stderr: str) -> list[str]:
+    return [
+        line.rsplit("|", 1)[1].strip()
+        for line in importtime_stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+
+
+def test_replay_sim_starts_without_site_or_package_imports(design, tmp_path):
+    """Each dispatched job pays one interpreter start: the simulator must
+    not import ``site``, ``shutil`` or the package."""
+    scenario_id, expected = _replay_corpus(design)
+    out = tmp_path / "replayed.vcd"
+    args = _replay_args(design.root, scenario_id, out)
+    args[1:1] = ["-X", "importtime"]
+    proc = subprocess.run(args, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported = _imported_modules(proc.stderr)
+    assert "json" in imported  # the report was written
+    assert "site" not in imported
+    assert [m for m in imported if m == "shutil" or m.split(".")[0] == "wavetriage"] == []
+    assert out.read_bytes() == expected
+
+
+def test_replay_sim_is_isolated_from_the_callers_environment(design, tmp_path):
+    """A ``PYTHONPATH`` and working directory that shadow ``json`` and add a
+    failing ``sitecustomize`` break a plain interpreter, not the simulator."""
+    scenario_id, expected = _replay_corpus(design)
+    trap = tmp_path / "trap"
+    trap.mkdir()
+    (trap / "json.py").write_text("raise RuntimeError('shadowing json was imported')\n")
+    (trap / "sitecustomize.py").write_text("import sys\nsys.exit(3)\n")
+    env = {**os.environ, "PYTHONPATH": str(trap)}
+    plain = subprocess.run([sys.executable, "-c", "import json"], env=env, cwd=trap, capture_output=True)
+    assert plain.returncode != 0  # the trap works on a plain start
+    out = tmp_path / "replayed.vcd"
+    proc = subprocess.run(
+        _replay_args(design.root, scenario_id, out), env=env, cwd=trap, capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == expected
 
 
 def test_check_scripts_pass_on_clean_design(design):

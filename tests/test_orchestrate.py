@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from wavetriage.orchestrate import (
     ScratchCollision,
     SimulatorNotFound,
     StageSizeReport,
+    design_table,
     dispatch,
     run_data_pipeline,
     scenario_jobs,
@@ -426,3 +430,38 @@ def test_waveform_with_a_1100_bit_target_gives_a_row(corpus, tmp_path):
     maxima = [v for k, v in row.items() if k.endswith(f".{name}__max")]
     assert maxima.count(sys.float_info.max) == 1  # one instance of the leaf name was widened
     assert np.isfinite(dataset.matrix).all()
+
+
+def test_design_table_rescans_an_edited_source(corpus, tmp_path):
+    """The design table is kept by content: unchanged sources are not
+    scanned again, and an edit that keeps the file's size and mtime reaches
+    the next call."""
+    design_dir = tmp_path / "design"
+    design_dir.mkdir()
+    for path in corpus.source_paths():
+        shutil.copy2(path, design_dir / path.name)
+    cfg = config_for(corpus, tmp_path, design_dir=str(design_dir))
+    jobs = _fixture_jobs(corpus, 1)
+    before, _ = run_data_pipeline(jobs, cfg)
+    table = design_table(design_dir)
+    assert design_table(design_dir) is table
+
+    # a signal of the first target that no other module declares
+    module = corpus.modules[0]
+    others = set().union(*(table.leaf_names(m) for m in table.modules() if m != module))
+    name = next(
+        n for n in sorted(table.leaf_names(module) - others)
+        if any(f".{n}__" in f for f in before.feature_names)
+    )
+    renamed = name[:-1] + ("y" if name[-1] == "z" else "z")
+    source = design_dir / f"{module}.sv"
+    stat = source.stat()
+    source.write_text(re.sub(rf"\b{name}\b", renamed, source.read_text()))
+    os.utime(source, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (source.stat().st_size, source.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+
+    after, _ = run_data_pipeline(jobs, cfg)
+    assert design_table(design_dir) is not table
+    assert name not in design_table(design_dir).leaf_names(module)
+    assert not any(f".{name}__" in f for f in after.feature_names)
+    assert set(after.feature_names) < set(before.feature_names)
