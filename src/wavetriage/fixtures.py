@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import shlex
 import sys
@@ -435,6 +436,13 @@ def gen_failing_vcd(
     Deterministic per (design, label, ticks, seed, difficulty). The label
     module's recipe signals deviate in the final window; everything else
     follows the shared baseline process.
+
+    The drawn columns form a ticks x signals matrix; a cell is a change
+    when it is in the first row or differs from the cell above, and numpy's
+    row-major ``nonzero`` yields the changes in time order, then layout
+    order. Each distinct (signal, value) line is formatted and validated
+    once, and the file is encoded in one piece. With ``out_path`` the
+    bytes replace that file atomically (see :func:`_write_atomic`).
     """
     if label_module not in design.recipes:
         raise UnknownModule(label_module)
@@ -444,8 +452,7 @@ def gen_failing_vcd(
     rng = np.random.default_rng(seed)
     recipe = design.recipes[label_module]
 
-    tail = min(250, int(ticks * 0.8))
-    sub_tail = min(30, tail)  # all signature effects burst right before failure
+    sub_tail = 30  # all signature effects burst right before failure
     t_axis = np.arange(ticks)
 
     tree = build_scope_tree(design)
@@ -487,28 +494,58 @@ def gen_failing_vcd(
                     )
         columns.append(np.clip(np.round(series), 0, top).astype(np.int64))
 
-    codes = [sig.id_code for sig in tree.iter_signals()]
-    widths = [sig.width for sig in tree.iter_signals()]
-    changes: list[vcd.ValueChange] = []
-    last: list[int | None] = [None] * len(columns)
-    for t in range(ticks):
-        time = 5 * t
-        for i, series in enumerate(columns):
-            value = int(series[t])
-            if value == last[i]:
-                continue
-            last[i] = value
-            if widths[i] == 1:
-                changes.append(vcd.ValueChange(time, codes[i], "01"[value]))
-            else:
-                changes.append(vcd.ValueChange(time, codes[i], format(value, "b")))
+    matrix = np.stack(columns, axis=1)
+    changed = np.empty(matrix.shape, dtype=bool)
+    changed[0] = True
+    np.not_equal(matrix[1:], matrix[:-1], out=changed[1:])
+    rows, cols = np.nonzero(changed)
 
-    blob = vcd.write_vcd(tree, changes)
+    signals = list(tree.iter_signals())
+    lines: dict[tuple[int, int], str] = {}
+    parts = [vcd._header_text(tree)]
+    last_row = -1
+    for row, col, value in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()):
+        if row != last_row:
+            parts.append(f"#{5 * row}\n")
+            last_row = row
+        line = lines.get((col, value))
+        if line is None:
+            line = lines[col, value] = _change_line(signals[col], value)
+        parts.append(line)
+
+    blob = "".join(parts).encode("latin-1")
     if out_path is None:
         return blob
-    with open(out_path, "wb") as handle:
-        handle.write(blob)
+    _write_atomic(Path(out_path), blob)
     return None
+
+
+def _change_line(sig: vcd.SignalDecl, value: int) -> str:
+    """The body line setting ``sig`` to ``value``, as ``vcd.write_vcd``
+    formats it; raises ``vcd.MalformedChange`` as that writer does."""
+    text = "01"[value] if sig.width == 1 else format(value, "b")
+    problem = vcd._validate_value(text, sig.width)
+    if problem:
+        raise vcd.MalformedChange(problem)
+    if sig.width == 1:
+        return f"{text}{sig.id_code}\n"
+    return f"b{text} {sig.id_code}\n"
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` through a temporary file in the same
+    directory and ``os.replace``, so a reader sees the old file or the new
+    one, never a partial write; a failure removes the temporary file. The
+    file gets the mode a plain ``open`` gives (``0o666`` less the umask)."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +615,7 @@ def materialize_corpus(
             "sim_latency": sim_latency,
         }
     manifest_path = design.root / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    _write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
     return manifest_path
 
 

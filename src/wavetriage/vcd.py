@@ -15,6 +15,7 @@ The reader is split in two halves that share one file object:
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Union
 
@@ -437,6 +438,26 @@ def _validate_value(value: str, width: int) -> str | None:
     return None
 
 
+def _header_text(tree: ScopeTree) -> str:
+    """The declaration section of ``tree``, ``$timescale`` through
+    ``$enddefinitions $end``, one directive per line."""
+    lines = [f"$timescale {tree.timescale} $end\n"]
+
+    def add_scope(scope: Scope):
+        lines.append(f"$scope {scope.kind} {scope.name} $end\n")
+        for item in scope.items:
+            if isinstance(item, SignalDecl):
+                lines.append(f"$var {item.kind_raw} {item.width} {item.id_code} {item.name} $end\n")
+            else:
+                add_scope(item)
+        lines.append("$upscope $end\n")
+
+    for root in tree.roots:
+        add_scope(root)
+    lines.append("$enddefinitions $end\n")
+    return "".join(lines)
+
+
 def write_vcd(
     tree: ScopeTree,
     changes: Iterable[ValueChange],
@@ -448,27 +469,12 @@ def write_vcd(
     non-decreasing; :func:`parse_header` + :func:`stream_changes` on the
     output recover an equivalent tree and change list.
     """
-    import io as _io
-
-    sink = out if out is not None else _io.BytesIO()
+    sink = out if out is not None else io.BytesIO()
 
     def emit(text: str):
         sink.write(text.encode("latin-1"))
 
-    emit(f"$timescale {tree.timescale} $end\n")
-
-    def emit_scope(scope: Scope):
-        emit(f"$scope {scope.kind} {scope.name} $end\n")
-        for item in scope.items:
-            if isinstance(item, SignalDecl):
-                emit(f"$var {item.kind_raw} {item.width} {item.id_code} {item.name} $end\n")
-            else:
-                emit_scope(item)
-        emit("$upscope $end\n")
-
-    for root in tree.roots:
-        emit_scope(root)
-    emit("$enddefinitions $end\n")
+    emit(_header_text(tree))
 
     widths = tree.id_widths()
     last_time: int | None = None

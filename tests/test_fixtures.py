@@ -8,9 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from wavetriage import vcd
+from wavetriage import fixtures, vcd
 from wavetriage.extract import sample_window, standardize, summarize
 from wavetriage.fixtures import (
+    DIFFICULTY_SCALE,
+    _stable_hash,
     build_scenarios,
     build_scope_tree,
     gen_design,
@@ -274,3 +276,187 @@ def test_scope_tree_matches_layout(design):
     names = vcd.list_full_names(tree)
     assert len(names) == len(design.layout)
     assert len({code for _, code, _ in names}) == len(names)
+
+
+def _reference_vcd(design, label_module, ticks, seed, difficulty):
+    """The generator as it was before change detection moved to numpy: the
+    same column draws, then a tick x signal loop that builds one
+    ``ValueChange`` per change and hands them to ``vcd.write_vcd``."""
+    scale = DIFFICULTY_SCALE[difficulty]
+    rng = np.random.default_rng(seed)
+    recipe = design.recipes[label_module]
+
+    tail = min(250, int(ticks * 0.8))
+    sub_tail = min(30, tail)
+    t_axis = np.arange(ticks)
+
+    tree = build_scope_tree(design)
+    columns = []
+    for path, name, width, owner in design.layout:
+        base = 40.0 + (_stable_hash(name, *path) % 97)
+        if width == 1:
+            if name in ("clk", "clk_tb"):
+                series = (t_axis % 2).astype(np.int64)
+            elif name == "rst_n":
+                series = (t_axis >= 3).astype(np.int64)
+            else:
+                series = (rng.random(ticks) < 0.35).astype(np.int64)
+            columns.append(series)
+            continue
+        top = (1 << width) - 1
+        is_signature = owner == label_module and name in (
+            recipe.bias_signal,
+            recipe.stuck_signal,
+            recipe.noisy_signal,
+        )
+        offset = float(rng.normal(0.0, 20.0))
+        if name.endswith("_state_q"):
+            series = rng.integers(0, 16, size=ticks).astype(np.float64)
+            if is_signature and name == recipe.stuck_signal and scale > 0:
+                series[ticks - sub_tail :] = float(int(base) % 16)
+        else:
+            noise = rng.normal(0.0, 6.0, size=ticks)
+            series = base + offset + noise
+            if is_signature and scale > 0:
+                burst = slice(ticks - sub_tail, ticks)
+                if name == recipe.bias_signal:
+                    series[burst] = base + recipe.bias_level * scale + noise[burst]
+                elif name == recipe.noisy_signal:
+                    series[burst] = base + offset + rng.normal(
+                        0.0, 6.0 + 24.0 * scale, size=sub_tail
+                    )
+        columns.append(np.clip(np.round(series), 0, top).astype(np.int64))
+
+    codes = [sig.id_code for sig in tree.iter_signals()]
+    widths = [sig.width for sig in tree.iter_signals()]
+    changes = []
+    last = [None] * len(columns)
+    for t in range(ticks):
+        time = 5 * t
+        for i, series in enumerate(columns):
+            value = int(series[t])
+            if value == last[i]:
+                continue
+            last[i] = value
+            if widths[i] == 1:
+                changes.append(vcd.ValueChange(time, codes[i], "01"[value]))
+            else:
+                changes.append(vcd.ValueChange(time, codes[i], format(value, "b")))
+    return vcd.write_vcd(tree, changes)
+
+
+@pytest.fixture(scope="module", params=[3, 5, 8], ids=lambda n: f"{n}mod")
+def sized_design(request, tmp_path_factory):
+    n = request.param
+    return gen_design(tmp_path_factory.mktemp(f"design{n}"), n_modules=n, seed=n)
+
+
+@pytest.mark.parametrize("difficulty", sorted(DIFFICULTY_SCALE))
+def test_vcd_bytes_match_reference_generator(sized_design, difficulty):
+    """The numpy change detection and the per-value line cache write the
+    bytes of the per-cell loop plus ``write_vcd``, over designs, seeds,
+    difficulties and tick counts (50 is the minimum, 1200 a long dump)."""
+    modules = sized_design.modules
+    for i, ticks in enumerate((50, 51, 60, 301, 1200)):
+        for seed in (i, 1000 + 37 * i):
+            label = modules[seed % len(modules)]
+            expected = _reference_vcd(sized_design, label, ticks, seed, difficulty)
+            assert gen_failing_vcd(sized_design, label, ticks, seed, difficulty) == expected
+
+
+def test_vcd_out_path_writes_the_returned_bytes(design, tmp_path):
+    blob = gen_failing_vcd(design, design.modules[1], ticks=120, seed=9, difficulty="hard")
+    out = tmp_path / "w.vcd"
+    assert gen_failing_vcd(design, design.modules[1], 120, 9, "hard", out_path=out) is None
+    assert out.read_bytes() == blob
+    assert [p.name for p in tmp_path.iterdir()] == ["w.vcd"]
+
+
+def test_vcd_validates_each_distinct_line_once(design, monkeypatch):
+    blob = gen_failing_vcd(design, design.modules[0], ticks=90, seed=2)
+    stream = io.BytesIO(blob)
+    vcd.parse_header(stream)
+    distinct = {(c.id_code, c.value) for c in vcd.stream_changes(stream)}
+    real_validate = vcd._validate_value
+    calls = []
+
+    def counting(value, width):
+        calls.append(value)
+        return real_validate(value, width)
+
+    monkeypatch.setattr(vcd, "_validate_value", counting)
+    assert gen_failing_vcd(design, design.modules[0], ticks=90, seed=2) == blob
+    assert len(calls) == len(distinct)
+
+
+def test_vcd_malformed_value_raises_like_write_vcd(design, monkeypatch):
+    monkeypatch.setattr(vcd, "_validate_value", lambda value, width: f"bad {value!r}")
+    with pytest.raises(vcd.MalformedChange) as reference:
+        _reference_vcd(design, design.modules[0], 60, 0, "easy")
+    with pytest.raises(vcd.MalformedChange) as raised:
+        gen_failing_vcd(design, design.modules[0], ticks=60, seed=0)
+    assert str(raised.value) == str(reference.value)
+
+
+def test_atomic_write_gets_plain_open_mode(tmp_path):
+    old = os.umask(0o002)
+    try:
+        fixtures._write_atomic(tmp_path / "f.bin", b"data")
+        with open(tmp_path / "plain.bin", "wb") as handle:
+            handle.write(b"data")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "f.bin").read_bytes() == b"data"
+    mode = (tmp_path / "f.bin").stat().st_mode & 0o777
+    assert mode == (tmp_path / "plain.bin").stat().st_mode & 0o777 == 0o664
+
+
+class _FailingHandle(io.BytesIO):
+    """Stands in for the temporary file: keeps half the bytes, then fails
+    like a full disk."""
+
+    def write(self, data):
+        super().write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def _fail_midway(monkeypatch):
+    real_open = open
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, int):
+            os.close(file)
+            return _FailingHandle()
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(fixtures, "open", fake_open, raising=False)
+
+
+def test_vcd_failed_write_leaves_old_file_or_none(design, tmp_path, monkeypatch):
+    kept = tmp_path / "kept.vcd"
+    kept.write_bytes(b"old")
+    _fail_midway(monkeypatch)
+    for path in (kept, tmp_path / "new.vcd"):
+        with pytest.raises(OSError, match="No space"):
+            gen_failing_vcd(design, design.modules[0], ticks=60, seed=1, out_path=path)
+    assert kept.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.vcd"]
+
+
+def test_manifest_failed_write_leaves_old_manifest(tmp_path, monkeypatch):
+    design = gen_design(tmp_path / "d", n_modules=3, seed=4)
+    scenarios = build_scenarios(design, train_per_module=1, test_per_module=0, seed=4)
+    manifest = materialize_corpus(design, scenarios, ticks=60)
+    before = manifest.read_bytes()
+    real_write = fixtures._write_atomic
+
+    def fail_manifest(path, data):
+        if path.name == "manifest.json":
+            _fail_midway(monkeypatch)
+        real_write(path, data)
+
+    monkeypatch.setattr(fixtures, "_write_atomic", fail_manifest)
+    with pytest.raises(OSError, match="No space"):
+        materialize_corpus(design, build_scenarios(design, 2, 0, seed=5), ticks=60)
+    assert manifest.read_bytes() == before
+    assert [p.name for p in design.root.rglob(".*")] == []

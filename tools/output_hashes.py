@@ -7,10 +7,12 @@ Generates a fixture corpus from seed ``SEED`` (design, scenarios and their
 waveforms), runs ``wavetriage pipeline`` in-process over it with signal
 reduction on, and prints one ``sha256  relative-path`` line for each of
 ``train.csv``, ``test.csv``, ``metrics.json``, ``stage_sizes.json``,
-``reduction_history.json`` and the model files. Outputs are
-byte-deterministic under a fixed seed, so two trees that print the same
-lines produce the same datasets, reduction, models and metrics on this
-corpus.
+``reduction_history.json`` and the model files, and one last line for
+the corpus itself: a SHA-256 over ``manifest.json`` and every
+``vcds/*.vcd`` in sorted order, each file's relative path and size hashed
+in front of its bytes. Outputs are byte-deterministic under a fixed seed,
+so two trees that print the same lines generate the same corpus and
+produce the same datasets, reduction, models and metrics on it.
 
 The corpus has 4 modules with 6 train and 6 test scenarios each, reduced
 to at most 12 signals. Its scenarios have difficulty ``impossible``: the
@@ -87,7 +89,20 @@ def output_hashes(work: Path) -> list[str]:
     for name in OUTPUTS:
         digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         lines.append(f"{digest}  {name}")
+    lines.append(f"{corpus_hash(design.root)}  design/{{manifest.json,vcds/*.vcd}}")
     return lines
+
+
+def corpus_hash(design_dir: Path) -> str:
+    """SHA-256 over the manifest and the waveforms, in sorted path order;
+    each file's path and size go in front of its bytes."""
+    digest = hashlib.sha256()
+    paths = [design_dir / "manifest.json", *(design_dir / "vcds").glob("*.vcd")]
+    for rel in sorted(str(p.relative_to(design_dir)) for p in paths):
+        data = (design_dir / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def main(argv=None) -> int:
