@@ -421,7 +421,7 @@ def cmd_pipeline(args) -> int:
     if cfg.reduce:
         from .ranking import reduce_signals
 
-        coverage = _coverage_from_design(cfg)
+        coverage = _coverage_from_design(cfg, train)
         train, history = reduce_signals(
             train,
             coverage,
@@ -455,21 +455,17 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _coverage_from_design(cfg) -> dict[str, str]:
-    """signal -> owning target, from pruning one waveform of the corpus."""
+def _coverage_from_design(cfg, dataset) -> dict[str, str]:
+    """signal -> owning target for every signal of ``dataset``, from pruning
+    its own signal names against the design (``prune`` decides on the full
+    name alone)."""
     from .orchestrate import design_table
     from .rtl import signals_for_targets
     from .selection import prune
-    from .vcd import list_full_names, parse_header
 
-    vcds = sorted(Path(cfg.out_dir).glob("scratch/train/*/wave_*.vcd"))
-    if not vcds:
-        raise ValueError("no waveforms available to derive signal coverage")
     table = design_table(cfg.design_dir)
-    with open(vcds[0], "rb") as stream:
-        tree = parse_header(stream)
     report = prune(
-        list_full_names(tree),
+        [(name, "", 0) for name in dataset.signal_names()],
         signals_for_targets(table, cfg.targets),
         table.instances,
         top_module=cfg.top_module,

@@ -1,6 +1,6 @@
 """Tree-ensemble internals: a Gini random forest with exact splits and a
-histogram-based gradient-boosted tree classifier with level-wise or
-leaf-wise growth.
+histogram-based gradient-boosted tree classifier grown level-wise, breadth
+first down to ``max_depth``.
 
 GBT histograms are sized to each fit's bins: the split search scans only
 the features that have at least one cut, each with as many bins as the
@@ -19,7 +19,7 @@ goes left, everywhere.
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +28,6 @@ import numpy as np
 @dataclass(frozen=True)
 class RFParams:
     n_trees: int = 100
-    max_depth: int | None = None
-    max_features: str | int = "sqrt"
-    bootstrap: bool = True
-    min_samples_split: int = 2
 
 
 @dataclass(frozen=True)
@@ -39,8 +35,6 @@ class GBTParams:
     n_rounds: int = 100
     learning_rate: float = 0.1
     max_depth: int = 6
-    growth: str = "level"  # "level" (depth-bounded) or "leaf" (best-gain-first)
-    max_leaves: int = 31  # leaf-wise growth bound
     reg_lambda: float = 1.0
     min_child_weight: float = 1e-3
     max_bins: int = 256
@@ -48,8 +42,6 @@ class GBTParams:
     def __post_init__(self):
         if not 2 <= self.max_bins <= 256:  # bin indices are stored as uint8
             raise ValueError("max_bins must be within 2..256")
-        if self.growth not in ("level", "leaf"):
-            raise ValueError(f"unknown growth strategy {self.growth!r}")
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
 
@@ -139,16 +131,6 @@ class RandomForest:
         self.seed = seed
         self.trees: list[_Tree] = []
 
-    def _n_features_per_split(self, n_features: int) -> int:
-        mf = self.params.max_features
-        if mf == "sqrt":
-            return max(1, int(np.sqrt(n_features)))
-        if mf == "log2":
-            return max(1, int(np.log2(n_features)) if n_features > 1 else 1)
-        if mf == "all":
-            return n_features
-        return max(1, min(int(mf), n_features))
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
         n_rows, n_features = X.shape
         eye = np.eye(self.n_classes, dtype=np.float64)
@@ -156,28 +138,19 @@ class RandomForest:
         tree_seeds = root_rng.integers(0, 2**63 - 1, size=self.params.n_trees)
         for tree_seed in tree_seeds:
             rng = np.random.default_rng(int(tree_seed))
-            if self.params.bootstrap:
-                sample = rng.integers(0, n_rows, size=n_rows)
-            else:
-                sample = np.arange(n_rows)
+            sample = rng.integers(0, n_rows, size=n_rows)
             self.trees.append(self._build_tree(X, y, sample, eye, rng))
         return self
 
     def _build_tree(self, X, y, sample, eye, rng) -> _Tree:
         builder = _TreeBuilder()
-        k = self._n_features_per_split(X.shape[1])
-        max_depth = self.params.max_depth
-        min_split = self.params.min_samples_split
+        k = max(1, int(np.sqrt(X.shape[1])))  # features examined per split
 
-        def grow(rows: np.ndarray, depth: int) -> int:
+        def grow(rows: np.ndarray) -> int:
             y_node = y[rows]
             counts = np.bincount(y_node, minlength=self.n_classes)
             node = builder.add(value=float(np.argmax(counts)))
-            if (
-                rows.size < min_split
-                or np.count_nonzero(counts) <= 1
-                or (max_depth is not None and depth >= max_depth)
-            ):
+            if np.count_nonzero(counts) <= 1:  # pure, which every one-row node is
                 return node
             order = rng.permutation(X.shape[1])
             best = None  # (impurity, feature, threshold)
@@ -193,19 +166,19 @@ class RandomForest:
                 examined += 1
                 if found is not None and (best is None or found[0] < best[0]):
                     best = (found[0], int(feat), found[1])
-                # keep searching past max_features until one valid split exists
+                # keep searching past k features until one valid split exists
                 if examined >= k and best is not None:
                     break
             if best is None:
                 return node
             _, feat, threshold = best
             go_left = X[rows, feat] < threshold
-            left = grow(rows[go_left], depth + 1)
-            right = grow(rows[~go_left], depth + 1)
+            left = grow(rows[go_left])
+            right = grow(rows[~go_left])
             builder.set_split(node, feat, threshold, left, right)
             return node
 
-        grow(np.asarray(sample), 0)
+        grow(np.asarray(sample))
         return builder.freeze()
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -381,51 +354,32 @@ class GradientBoostedTrees:
         return -p.learning_rate * G / (H + p.reg_lambda)
 
     def _fit_tree(self, bins, flat, split_features, stride, g, h):
-        """Grow one tree from a single frontier of split candidates.
-
-        A node gets its candidate when it is created and waits on one heap
-        until it is split. The growth mode picks only the heap key and the
-        stop rule. Level-wise growth keys by creation order, so nodes split
-        breadth first until none can, and a node at ``max_depth`` becomes a
-        leaf without a candidate. Leaf-wise growth keys by ``-gain`` and
-        stops at ``max_leaves``; whatever is still queued becomes a leaf.
-        Returns the tree and the rows of each leaf."""
+        """Grow one tree breadth first; a node at ``max_depth`` becomes a
+        leaf. A node gets its split candidate when it leaves the queue, so
+        the root's candidate is the first allocation of a fit and the split
+        workspace sits above the root's histograms. Returns the tree and the
+        rows of each leaf."""
         p = self.params
-        level = p.growth == "level"
         builder = _TreeBuilder()
         leaf_rows: list[tuple[int, np.ndarray]] = []
-        frontier: list[tuple] = []  # (key, seq, rows, node, candidate, G, H, depth)
-        seq = 0
-
-        def push(rows: np.ndarray, node: int, depth: int):
-            nonlocal seq
-            if rows.size < 2 or (level and depth >= p.max_depth):
+        queue = deque([(np.arange(bins.shape[0]), builder.add(), 0)])
+        while queue:
+            rows, node, depth = queue.popleft()
+            if rows.size < 2 or depth >= p.max_depth:
                 cand, G, H = None, float(g[rows].sum()), float(h[rows].sum())
             else:
                 cand, G, H = self._node_candidate(flat, split_features, stride, rows, g, h)
             if cand is None:
                 builder.value[node] = self._leaf_value(G, H)
                 leaf_rows.append((node, rows))
-            else:
-                key = seq if level else -cand.gain
-                heapq.heappush(frontier, (key, seq, rows, node, cand, G, H, depth))
-                seq += 1
-
-        push(np.arange(bins.shape[0]), builder.add(), 0)
-        n_leaves = 1
-        while frontier and (level or n_leaves < p.max_leaves):
-            _, _, rows, node, cand, _, _, depth = heapq.heappop(frontier)
+                continue
             self.feature_gain[cand.feature] += cand.gain
             go_left = bins[rows, cand.feature] <= cand.boundary
             left = builder.add()
             right = builder.add()
             builder.set_split(node, cand.feature, cand.threshold, left, right)
-            push(rows[go_left], left, depth + 1)
-            push(rows[~go_left], right, depth + 1)
-            n_leaves += 1
-        for _, _, rows, node, _, G, H, _ in frontier:
-            builder.value[node] = self._leaf_value(G, H)
-            leaf_rows.append((node, rows))
+            queue.append((rows[go_left], left, depth + 1))
+            queue.append((rows[~go_left], right, depth + 1))
         return builder.freeze(), leaf_rows
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:

@@ -353,6 +353,81 @@ def test_pipeline_subcommand(corpus, tmp_path):
     assert (out_dir / "metrics.json.manifest.json").exists()
 
 
+def test_reduction_coverage_needs_no_waveform(corpus, tmp_path):
+    """Signal -> module coverage for reduction comes from the dataset's own
+    signal names, equal to pruning a waveform header, with no waveform in
+    the run directory."""
+    from wavetriage.cli import _coverage_from_design
+    from wavetriage.extract import Dataset
+    from wavetriage.orchestrate import PipelineConfig, design_table
+    from wavetriage.rtl import signals_for_targets
+    from wavetriage.selection import prune
+    from wavetriage.vcd import list_full_names, parse_header
+
+    table = design_table(corpus.root)
+    with open(sorted((corpus.root / "vcds").glob("*.vcd"))[0], "rb") as stream:
+        header = list_full_names(parse_header(stream))
+    selected = prune(
+        header,
+        signals_for_targets(table, corpus.modules),
+        table.instances,
+        top_module="soc_top",
+        dut_root="tb.dut",
+    ).selected
+    kept = selected[::2]
+    dataset = Dataset(
+        feature_names=[f"{name}__{stat}" for name, _, _, _ in kept for stat in ("mean", "std")],
+        matrix=[[0.0] * (2 * len(kept))],
+        labels=["a"],
+        scenario_ids=["s0"],
+    )
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    cfg = PipelineConfig(
+        design_dir=str(corpus.root),
+        targets=list(corpus.modules),
+        top_module="soc_top",
+        dut_root="tb.dut",
+        out_dir=str(out_dir),
+    )
+    coverage = _coverage_from_design(cfg, dataset)
+    assert coverage == {name: owner for name, _, _, owner in kept}
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "env, flag", [("40", None), ("40", "30"), (None, None)], ids=["env", "env-and-flag", "neither"]
+)
+def test_tick_cap_from_flag_then_environment_then_config(corpus, tmp_path, monkeypatch, env, flag):
+    """Precedence is flag > ``WAVETRIAGE_*`` environment > config > default:
+    ``extract`` has no config (default 2000), the pipeline config says 50."""
+    if env is None:
+        monkeypatch.delenv("WAVETRIAGE_TICK_CAP", raising=False)
+    else:
+        monkeypatch.setenv("WAVETRIAGE_TICK_CAP", env)
+    flag_args = [] if flag is None else ["--tick-cap", flag]
+    chosen = flag or env
+
+    tau = tmp_path / "tau.json"
+    assert run("scan", "--sources", *sorted(str(p) for p in corpus.root.glob("*.sv")), "--json", str(tau)) == 0
+    wave = str(sorted((corpus.root / "vcds").glob("*.vcd"))[0])
+    sel = tmp_path / "sel.json"
+    targets = ",".join(corpus.modules)
+    select = ["--targets", targets, "--top-module", "soc_top", "--dut-root", "tb.dut"]
+    assert run("select", "--vcd", wave, "--tau", str(tau), *select, "--json", str(sel)) == 0
+    rough = tmp_path / "rough.csv"
+    extract = ["--label", corpus.modules[0], "--scenario-id", "s0", "--rough-csv", str(rough)]
+    assert run("extract", "--vcd", wave, "--selection", str(sel), *extract, *flag_args) == 0
+    sidecar = json.loads(Path(str(rough) + ".meta.json").read_text())
+    assert sidecar["tick_cap"] == int(chosen or 2000)
+
+    out_dir = tmp_path / "run"
+    cfg_path = pipeline_config(corpus, out_dir, worker_count=1, train_per_module=1, test_per_module=1)
+    assert run("pipeline", "--config", str(cfg_path), *flag_args) == 0
+    manifest = json.loads((out_dir / "metrics.json.manifest.json").read_text())
+    assert manifest["settings"]["tick_cap"] == int(chosen or 50)
+
+
 def test_pipeline_names_the_first_failed_job(corpus, tmp_path, capsys):
     config = {
         "design_dir": str(corpus.root),

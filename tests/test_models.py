@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -133,12 +135,6 @@ def test_deterministic_given_seed(kind):
     assert np.array_equal(a.predict_proba(ds.matrix), b.predict_proba(ds.matrix))
 
 
-def test_gbt_leaf_wise_growth_works():
-    ds = blobs(seed=2)
-    model = fit("gbt", ds, GBTParams(n_rounds=10, growth="leaf", max_leaves=8), seed=0)
-    assert model.predict(ds.matrix) == ds.labels
-
-
 def test_gbt_importance_zero_for_constant_feature():
     rng = np.random.default_rng(0)
     X = np.zeros((60, 3))
@@ -162,6 +158,35 @@ def test_save_load_round_trip(tmp_path):
     assert clone.kind == model.kind
     assert clone.classes == model.classes
     assert np.array_equal(clone.predict_proba(ds.matrix), model.predict_proba(ds.matrix))
+
+
+# Params fields that model files written before GBT trees grew only level-wise
+# and the random forest sampled only one way still carry, at their defaults.
+DROPPED_PARAMS_FIELDS = {
+    "random_forest": {
+        "max_depth": None,
+        "max_features": "sqrt",
+        "bootstrap": True,
+        "min_samples_split": 2,
+    },
+    "gbt": {"growth": "level", "max_leaves": 31},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DROPPED_PARAMS_FIELDS))
+def test_model_file_with_dropped_params_fields_loads(tmp_path, kind):
+    ds = blobs(seed=3, spread=3.0)
+    params = replace(FAST_PARAMS[kind])  # a copy: the shared params stay as they are
+    model = fit(kind, ds, params, seed=1)
+    for name, value in DROPPED_PARAMS_FIELDS[kind].items():
+        object.__setattr__(params, name, value)
+    path = tmp_path / "old_model.bin"
+    save_model(model, path)
+    for name in DROPPED_PARAMS_FIELDS[kind]:
+        assert name.encode() in path.read_bytes()
+    clone = load_model(path)
+    probe = np.vstack([ds.matrix, ds.matrix[::5] + 0.5])
+    assert clone.predict_proba(probe).tobytes() == model.predict_proba(probe).tobytes()
 
 
 def test_load_rejects_garbage(tmp_path):

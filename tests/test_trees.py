@@ -1,11 +1,9 @@
 """GBT split search and tree growth: the data-sized histogram layout and
 its in-place gain kernel must grow exactly the trees of the fixed-stride
-layout they replaced, the single-frontier growth loop exactly the trees of
-the two growth loops it replaced; the fit must cope with data where no
-feature can split, and must not fault in fresh histogram-sized pages at
-every node."""
+layout they replaced, the growth loop exactly the trees of the breadth-first
+reference; the fit must cope with data where no feature can split, and must
+not fault in fresh histogram-sized pages at every node."""
 
-import heapq
 import resource
 from collections import deque
 
@@ -95,9 +93,9 @@ class FixedStrideGBT(GradientBoostedTrees):
 
 
 class TwoBranchGBT(GradientBoostedTrees):
-    """Reference: level-wise growth as a breadth-first queue and leaf-wise
-    growth as a best-gain heap, each with its own leaf and split steps, as
-    ``_fit_tree`` grew trees before one frontier served both."""
+    """Reference: level-wise growth as a breadth-first queue with its own
+    leaf and split steps, as ``_fit_tree`` grew trees before one frontier
+    heap served level-wise and leaf-wise growth."""
 
     def _fit_tree(self, bins, flat, split_features, stride, g, h):
         p = self.params
@@ -105,61 +103,26 @@ class TwoBranchGBT(GradientBoostedTrees):
         leaf_rows = []
         root_rows = np.arange(bins.shape[0])
 
-        if p.growth == "level":
-            root = builder.add()
-            queue = deque([(root_rows, root, 0)])
-            while queue:
-                rows, node, depth = queue.popleft()
-                if depth >= p.max_depth or rows.size < 2:
-                    cand = None
-                    G, H = float(g[rows].sum()), float(h[rows].sum())
-                else:
-                    cand, G, H = self._node_candidate(flat, split_features, stride, rows, g, h)
-                if cand is None:
-                    builder.value[node] = self._leaf_value(G, H)
-                    leaf_rows.append((node, rows))
-                    continue
-                self.feature_gain[cand.feature] += cand.gain
-                go_left = bins[rows, cand.feature] <= cand.boundary
-                left = builder.add()
-                right = builder.add()
-                builder.set_split(node, cand.feature, cand.threshold, left, right)
-                queue.append((rows[go_left], left, depth + 1))
-                queue.append((rows[~go_left], right, depth + 1))
-        else:
-            root = builder.add()
-            heap = []
-            seq = 0
-
-            def push(rows, node):
-                nonlocal seq
-                if rows.size < 2:
-                    cand, G, H = None, float(g[rows].sum()), float(h[rows].sum())
-                else:
-                    cand, G, H = self._node_candidate(flat, split_features, stride, rows, g, h)
-                if cand is None:
-                    builder.value[node] = self._leaf_value(G, H)
-                    leaf_rows.append((node, rows))
-                else:
-                    heapq.heappush(heap, (-cand.gain, seq, rows, node, cand, G, H))
-                    seq += 1
-
-            push(root_rows, root)
-            n_leaves = 1
-            while heap and n_leaves < p.max_leaves:
-                _, _, rows, node, cand, _, _ = heapq.heappop(heap)
-                self.feature_gain[cand.feature] += cand.gain
-                go_left = bins[rows, cand.feature] <= cand.boundary
-                left = builder.add()
-                right = builder.add()
-                builder.set_split(node, cand.feature, cand.threshold, left, right)
-                push(rows[go_left], left)
-                push(rows[~go_left], right)
-                n_leaves += 1
-            for _, _, rows, node, _, G, H in heap:
+        root = builder.add()
+        queue = deque([(root_rows, root, 0)])
+        while queue:
+            rows, node, depth = queue.popleft()
+            if depth >= p.max_depth or rows.size < 2:
+                cand = None
+                G, H = float(g[rows].sum()), float(h[rows].sum())
+            else:
+                cand, G, H = self._node_candidate(flat, split_features, stride, rows, g, h)
+            if cand is None:
                 builder.value[node] = self._leaf_value(G, H)
                 leaf_rows.append((node, rows))
-
+                continue
+            self.feature_gain[cand.feature] += cand.gain
+            go_left = bins[rows, cand.feature] <= cand.boundary
+            left = builder.add()
+            right = builder.add()
+            builder.set_split(node, cand.feature, cand.threshold, left, right)
+            queue.append((rows[go_left], left, depth + 1))
+            queue.append((rows[~go_left], right, depth + 1))
         return builder.freeze(), leaf_rows
 
 
@@ -217,23 +180,10 @@ def uneven_cuts_matrix(seed, n_rows, n_classes):
 
 CASES = {
     "dense-ranking": (dense_matrix, 150, 5, RANKING_PARAMS),
-    "dense-leaf": (
-        dense_matrix,
-        120,
-        3,
-        GBTParams(n_rounds=4, growth="leaf", max_leaves=8, learning_rate=0.3),
-    ),
     "uneven-cuts-level": (uneven_cuts_matrix, 240, 3, GBTParams(n_rounds=6, max_depth=4)),
     "mixed-level": (mixed_matrix, 90, 3, GBTParams(n_rounds=6, max_depth=4)),
-    "mixed-leaf": (mixed_matrix, 90, 3, GBTParams(n_rounds=6, growth="leaf", max_leaves=7)),
     "quantile-cuts": (wide_column_matrix, 320, 2, GBTParams(n_rounds=4, max_depth=3)),
     "max-bins-16-level": (wide_column_matrix, 200, 3, GBTParams(n_rounds=5, max_bins=16)),
-    "max-bins-16-leaf": (
-        wide_column_matrix,
-        200,
-        3,
-        GBTParams(n_rounds=5, max_bins=16, growth="leaf", max_leaves=9),
-    ),
 }
 
 
@@ -275,23 +225,9 @@ def three_row_matrix(_seed, n_rows, _n_classes):
 
 EDGE_CASES = {
     "max-depth-0-level": (mixed_matrix, 90, 3, GBTParams(n_rounds=3, max_depth=0)),
-    "max-depth-0-leaf": (
-        mixed_matrix,
-        90,
-        3,
-        GBTParams(n_rounds=3, max_depth=0, growth="leaf", max_leaves=5),
-    ),
     "max-depth-1-level": (mixed_matrix, 90, 3, GBTParams(n_rounds=4, max_depth=1)),
     "max-depth-unreached-level": (mixed_matrix, 90, 3, GBTParams(n_rounds=3, max_depth=64)),
-    "max-leaves-1-leaf": (mixed_matrix, 90, 3, GBTParams(n_rounds=3, growth="leaf", max_leaves=1)),
-    "max-leaves-unreached-leaf": (
-        mixed_matrix,
-        90,
-        3,
-        GBTParams(n_rounds=3, growth="leaf", max_leaves=10_000),
-    ),
     "three-rows-level": (three_row_matrix, 3, 2, GBTParams(n_rounds=3)),
-    "three-rows-leaf": (three_row_matrix, 3, 2, GBTParams(n_rounds=3, growth="leaf")),
 }
 
 
@@ -312,16 +248,11 @@ def test_edge_case_shapes():
         return [(len(t.feature), int((t.feature < 0).sum())) for t in trees]
 
     assert {nodes for nodes, _ in tree_sizes("max-depth-0-level")} == {1}
-    assert {nodes for nodes, _ in tree_sizes("max-leaves-1-leaf")} == {1}
-    # leaf-wise growth has no depth bound
-    assert max(leaves for _, leaves in tree_sizes("max-depth-0-leaf")) == 5
     assert {nodes for nodes, _ in tree_sizes("max-depth-1-level")} == {3}
-    unbounded = tree_sizes("max-leaves-unreached-leaf")
-    assert max(leaves for _, leaves in unbounded) < 90
-    assert unbounded == tree_sizes("max-depth-unreached-level")
-    for case in ("three-rows-level", "three-rows-leaf"):
-        # a one-row leaf, then a split into two one-row leaves
-        assert tree_sizes(case)[0] == (5, 3)
+    # unbounded trees stop where no split gains, before one leaf per row
+    assert max(leaves for _, leaves in tree_sizes("max-depth-unreached-level")) < 90
+    # a one-row leaf, then a split into two one-row leaves
+    assert tree_sizes("three-rows-level")[0] == (5, 3)
 
 
 def test_case_shapes():
@@ -351,8 +282,7 @@ def test_quantile_case_has_more_values_than_bins():
     assert np.unique(X[:, -1]).size > GBTParams().max_bins
 
 
-@pytest.mark.parametrize("growth", ["level", "leaf"])
-def test_all_constant_columns_give_single_leaf_trees(growth):
+def test_all_constant_columns_give_single_leaf_trees():
     X = np.column_stack([np.zeros(12), np.full(12, 2.5), np.ones(12)])
     labels = ["A", "B", "C"] * 4
     ds = Dataset(
@@ -361,7 +291,7 @@ def test_all_constant_columns_give_single_leaf_trees(growth):
         labels=labels,
         scenario_ids=[f"sc{i}" for i in range(len(labels))],
     )
-    model = fit("gbt", ds, GBTParams(n_rounds=3, growth=growth), seed=0)
+    model = fit("gbt", ds, GBTParams(n_rounds=3), seed=0)
     trees = [tree for rnd in model.impl.trees for tree in rnd]
     assert len(trees) == 3 * 3
     for tree in trees:

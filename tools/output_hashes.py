@@ -7,12 +7,17 @@ Generates a fixture corpus from seed ``SEED`` (design, scenarios and their
 waveforms), runs ``wavetriage pipeline`` in-process over it with signal
 reduction on, and prints one ``sha256  relative-path`` line for each of
 ``train.csv``, ``test.csv``, ``metrics.json``, ``stage_sizes.json``,
-``reduction_history.json`` and the model files, and one last line for
-the corpus itself: a SHA-256 over ``manifest.json`` and every
-``vcds/*.vcd`` in sorted order, each file's relative path and size hashed
-in front of its bytes. Outputs are byte-deterministic under a fixed seed,
-so two trees that print the same lines generate the same corpus and
-produce the same datasets, reduction, models and metrics on it.
+``reduction_history.json`` and the model files. One ``path:content``
+line per model kind follows: a SHA-256 of the fitted arrays (tree, bin cut
+and gain arrays; for KNN its scaling and training arrays) and of the
+model's ``predict_proba`` on ``test.csv``. Those lines do not depend on the
+model file format, so they show an unchanged model where only the file's
+bytes changed. One last line covers the corpus itself: a SHA-256 over
+``manifest.json`` and every ``vcds/*.vcd`` in sorted order, each file's
+relative path and size hashed in front of its bytes. Outputs are
+byte-deterministic under a fixed seed, so two trees that print the same
+lines generate the same corpus and produce the same datasets, reduction,
+models and metrics on it.
 
 The corpus has 4 modules with 6 train and 6 test scenarios each, reduced
 to at most 12 signals. Its scenarios have difficulty ``impossible``: the
@@ -49,10 +54,8 @@ OUTPUTS = (
     "metrics.json",
     "stage_sizes.json",
     "reduction_history.json",
-    "model_gbt.bin",
-    "model_random_forest.bin",
-    "model_knn.bin",
 )
+MODEL_KINDS = ("gbt", "random_forest", "knn")
 
 
 def output_hashes(work: Path) -> list[str]:
@@ -85,12 +88,43 @@ def output_hashes(work: Path) -> list[str]:
         code = cli.main(["pipeline", "--config", str(config_path)])
     if code != 0:
         raise SystemExit(f"wavetriage pipeline exited {code}")
+    models = [f"model_{kind}.bin" for kind in MODEL_KINDS]
     lines = []
-    for name in OUTPUTS:
+    for name in (*OUTPUTS, *models):
         digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         lines.append(f"{digest}  {name}")
+    for name in models:
+        lines.append(f"{model_content_hash(out_dir / name, out_dir / 'test.csv')}  {name}:content")
     lines.append(f"{corpus_hash(design.root)}  design/{{manifest.json,vcds/*.vcd}}")
     return lines
+
+
+def model_content_hash(model_path: Path, test_csv: Path) -> str:
+    """SHA-256 over a model's fitted arrays and its ``predict_proba`` on
+    ``test_csv``, each array's dtype and shape in front of its bytes."""
+    from wavetriage.extract import read_dataset_csv
+    from wavetriage.metrics import align_columns
+    from wavetriage.models import load_model
+
+    model = load_model(model_path)
+    impl = model.impl
+    fields = ("feature", "threshold", "left", "right", "value")
+    if model.kind == "knn":
+        arrays = [impl.mean, impl.std, impl.train, impl.y]
+    elif model.kind == "random_forest":
+        arrays = [getattr(tree, name) for tree in impl.trees for name in fields]
+    else:
+        trees = [tree for round_trees in impl.trees for tree in round_trees]
+        arrays = [getattr(tree, name) for tree in trees for name in fields]
+        arrays += [*impl.mapper.cuts, impl.feature_gain]
+    with open(test_csv, encoding="utf-8") as handle:
+        test = read_dataset_csv(handle)
+    arrays.append(model.predict_proba(align_columns(model, test)))
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(f"{array.dtype.str}{array.shape}\0".encode("utf-8"))
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def corpus_hash(design_dir: Path) -> str:
