@@ -38,7 +38,7 @@ from .extract import (
 )
 from .rtl import DesignSources, ModuleLookupTable, scan_sources, signals_for_targets
 from .selection import prune
-from .vcd import VcdError, parse_header, list_full_names, stream_changes
+from .vcd import VcdError, parse_header, list_full_names, raise_problem, stream_changes
 
 
 STDERR_TAIL_BYTES = 2048
@@ -281,7 +281,7 @@ def _process_waveform(payload) -> dict:
                 dut_root=dut_root,
             )
             window = sample_window(
-                stream_changes(stream),
+                stream_changes(stream, on_problem=raise_problem),
                 report,
                 tick_cap=tick_cap,
                 label=label,

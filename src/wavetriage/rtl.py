@@ -51,13 +51,6 @@ class Token:
     line: int
 
 
-@dataclass(frozen=True)
-class VarDecl:
-    name: str
-    decl_type: str
-    module: str
-
-
 @dataclass
 class ModuleLookupTable:
     """module -> declared type -> variable names, plus instantiation edges.

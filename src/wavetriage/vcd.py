@@ -67,7 +67,8 @@ class MalformedChange(VcdError):
 
 
 class TimeRegression(VcdError):
-    """A ``#`` timestamp went backwards. Recoverable: reported, stream continues."""
+    """A ``#`` timestamp went backwards. Reported through ``on_problem``; the
+    stream continues unless the handler raises."""
 
 
 class UndeclaredId(VcdError):
@@ -115,10 +116,6 @@ class SignalDecl:
     def full_name(self) -> str:
         return ".".join(self.scope_path) + "." + self.name
 
-    @property
-    def is_real(self) -> bool:
-        return self.kind_raw in ("real", "realtime")
-
 
 @dataclass
 class Scope:
@@ -153,9 +150,6 @@ class ScopeTree:
             widths.setdefault(sig.id_code, sig.width)
         return widths
 
-    def declared_ids(self) -> frozenset[str]:
-        return frozenset(sig.id_code for sig in self.iter_signals())
-
 
 class ValueChange(NamedTuple):
     time: int
@@ -166,18 +160,6 @@ class ValueChange(NamedTuple):
 def list_full_names(tree: ScopeTree) -> list[tuple[str, str, int]]:
     """Depth-first, declaration-ordered ``(full_name, id_code, width)`` list."""
     return [(s.full_name, s.id_code, s.width) for s in tree.iter_signals()]
-
-
-def expand_vector(value: str, width: int) -> str:
-    """Left-extend a possibly truncated vector value to its declared width.
-
-    Extension char is '0' when the leftmost bit is '1', otherwise the
-    leftmost char is replicated ('0', 'x', 'z').
-    """
-    if len(value) >= width:
-        return value
-    fill = "0" if value[0] == "1" else value[0]
-    return fill * (width - len(value)) + value
 
 
 def _read_text_line(stream) -> str | None:
@@ -330,6 +312,11 @@ def _text_blocks(read: Callable[[int], Union[str, bytes]]) -> Iterator[str]:
         yield carry
 
 
+def raise_problem(exc: VcdError) -> None:
+    """``on_problem`` handler that raises what :func:`stream_changes` reports."""
+    raise exc
+
+
 def stream_changes(
     stream: Iterable,
     id_filter: frozenset[str] | set[str] = frozenset(),
@@ -344,7 +331,8 @@ def stream_changes(
     split on its own. An empty
     ``id_filter`` keeps every change. Timestamp regressions are reported
     through ``on_problem`` and the stream continues; malformed records raise
-    when ``strict`` is true, otherwise they are reported and skipped.
+    when ``strict`` is true, otherwise they are reported and skipped. Pass
+    :func:`raise_problem` to make every reported problem fatal.
     """
     keep_all = not id_filter
     make = tuple.__new__  # ValueChange(...) without the keyword-argument wrapper

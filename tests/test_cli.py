@@ -52,6 +52,31 @@ def test_scan_and_error_paths(corpus, tmp_path):
     assert run("scan", "--sources", str(bad), "--json", str(tmp_path / "x.json")) == 2
 
 
+def test_extract_rejects_a_backward_timestamp(corpus, tmp_path, capsys):
+    tau = tmp_path / "tau.json"
+    sources = sorted(str(p) for p in corpus.root.glob("*.sv"))
+    assert run("scan", "--sources", *sources, "--json", str(tau)) == 0
+    wave = tmp_path / "wave.vcd"
+    gen_failing_vcd(corpus, corpus.modules[0], ticks=60, seed=1000, out_path=wave)
+    sel = tmp_path / "sel.json"
+    assert run(
+        "select", "--vcd", str(wave), "--tau", str(tau), "--targets", ",".join(corpus.modules),
+        "--top-module", "soc_top", "--dut-root", "tb.dut", "--json", str(sel),
+    ) == 0
+    header = wave.read_text(encoding="latin-1").split("$enddefinitions $end\n", 1)[0]
+    wave.write_text(header + "$enddefinitions $end\n#0\n0!\n#5\n1!\n#2\n0!\n#6\n1!\n", encoding="latin-1")
+    rough = tmp_path / "rough.csv"
+    capsys.readouterr()
+    code = run(
+        "extract", "--vcd", str(wave), "--selection", str(sel), "--label", corpus.modules[0],
+        "--scenario-id", "back-0", "--tick-cap", "50", "--rough-csv", str(rough),
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(wave) in err and "back-0" in err and "5 -> 2" in err
+    assert not rough.exists()
+
+
 def test_select_extract_compress_train_eval_chain(corpus, tmp_path):
     tau = tmp_path / "tau.json"
     sources = sorted(str(p) for p in corpus.root.glob("*.sv"))

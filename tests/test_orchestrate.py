@@ -16,7 +16,7 @@ from wavetriage.fixtures import (
     materialize_corpus,
     simulator_command,
 )
-from wavetriage.vcd import MalformedChange
+from wavetriage.vcd import MalformedChange, TimeRegression
 from wavetriage.orchestrate import (
     JobResult,
     NoFailingWaveforms,
@@ -364,9 +364,20 @@ def _non_finite_real(path, out):
     _real_target(path, out, [(-1, "r1e309")])
 
 
+def _backward_timestamp(path, out):
+    """The header of ``path`` over a body whose timestamps run 0, 5, 2, 6."""
+    header = path.read_text(encoding="latin-1").split("$enddefinitions $end\n", 1)[0]
+    out.write_text(header + "$enddefinitions $end\n#0\n0!\n#5\n1!\n#2\n0!\n#6\n1!\n", encoding="latin-1")
+
+
 @pytest.mark.parametrize(
     "corrupt, error",
-    [(_corrupt_body, MalformedChange), (_empty_body, EmptyDump), (_non_finite_real, NonFiniteReal)],
+    [
+        (_corrupt_body, MalformedChange),
+        (_empty_body, EmptyDump),
+        (_non_finite_real, NonFiniteReal),
+        (_backward_timestamp, TimeRegression),
+    ],
 )
 @pytest.mark.parametrize("workers", [1, 2])
 def test_extraction_error_names_file_and_scenario(corpus, tmp_path, corrupt, error, workers):

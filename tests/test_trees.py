@@ -1,8 +1,10 @@
-"""GBT split search and tree growth: the data-sized histogram layout and
+"""Tree growth against references. GBT: the data-sized histogram layout and
 its in-place gain kernel must grow exactly the trees of the fixed-stride
 layout they replaced, the growth loop exactly the trees of the breadth-first
 reference; the fit must cope with data where no feature can split, and must
-not fault in fresh histogram-sized pages at every node."""
+not fault in fresh histogram-sized pages at every node. Random forest: the
+batched split search of a node must grow exactly the trees of the
+per-feature loop it replaced."""
 
 import resource
 from collections import deque
@@ -16,6 +18,8 @@ from wavetriage.ranking import RANKING_PARAMS
 from wavetriage.trees import (
     GBTParams,
     GradientBoostedTrees,
+    RandomForest,
+    RFParams,
     _BinMapper,
     _Candidate,
     _TreeBuilder,
@@ -299,3 +303,166 @@ def test_all_constant_columns_give_single_leaf_trees():
     assert model.feature_importance().tolist() == [0.0, 0.0, 0.0]
     probs = model.predict_proba(X)
     assert np.allclose(probs, 1.0 / 3.0)
+
+
+# ---------------------------------------------------------------------------
+# Random forest
+
+
+def _gini_best_split(values, cum, total):
+    """Best Gini split of one presorted feature; returns (impurity, threshold)."""
+    n = values.shape[0]
+    boundaries = np.nonzero(values[1:] != values[:-1])[0]
+    if boundaries.size == 0:
+        return None
+    nl = (boundaries + 1).astype(np.float64)
+    nr = n - nl
+    left = cum[boundaries]
+    right = total - left
+    gini_l = 1.0 - np.square(left / nl[:, None]).sum(axis=1)
+    gini_r = 1.0 - np.square(right / nr[:, None]).sum(axis=1)
+    weighted = (nl * gini_l + nr * gini_r) / n
+    best = int(np.argmin(weighted))
+    i = int(boundaries[best])
+    lo, hi = values[i], values[i + 1]
+    threshold = (lo + hi) / 2.0
+    if threshold <= lo:
+        threshold = hi
+    return float(weighted[best]), float(threshold)
+
+
+class LoopRF(RandomForest):
+    """Reference: the features of a node's permutation are sorted and scanned
+    one Python call at a time, as the split search did before it was batched
+    per node. A constant column is skipped; the search stops once ``k``
+    columns were scanned, and a later column wins only with a strictly lower
+    impurity."""
+
+    def _build_tree(self, X, y, sample, eye, rng):
+        builder = _TreeBuilder()
+        k = max(1, int(np.sqrt(X.shape[1])))
+
+        def grow(rows):
+            y_node = y[rows]
+            counts = np.bincount(y_node, minlength=self.n_classes)
+            node = builder.add(value=float(np.argmax(counts)))
+            if np.count_nonzero(counts) <= 1:
+                return node
+            order = rng.permutation(X.shape[1])
+            best = None  # (impurity, feature, threshold)
+            examined = 0
+            for feat in order:
+                col = X[rows, feat]
+                sort = np.argsort(col, kind="stable")
+                values = col[sort]
+                if values[0] == values[-1]:
+                    continue
+                cum = np.cumsum(eye[y_node[sort]], axis=0)
+                found = _gini_best_split(values, cum, cum[-1])
+                examined += 1
+                if found is not None and (best is None or found[0] < best[0]):
+                    best = (found[0], int(feat), found[1])
+                if examined >= k and best is not None:
+                    break
+            if best is None:
+                return node
+            _, feat, threshold = best
+            go_left = X[rows, feat] < threshold
+            left = grow(rows[go_left])
+            right = grow(rows[~go_left])
+            builder.set_split(node, feat, threshold, left, right)
+            return node
+
+        grow(np.asarray(sample))
+        return builder.freeze()
+
+
+def assert_same_forest(new, ref, X):
+    assert len(new.trees) == len(ref.trees) == new.params.n_trees
+    for a, b in zip(new.trees, ref.trees):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            mine, theirs = getattr(a, name), getattr(b, name)
+            assert mine.dtype == theirs.dtype, name
+            assert mine.tobytes() == theirs.tobytes(), name
+    probe = np.vstack([X, X[::3] + 0.25])
+    assert new.predict_proba(probe).tobytes() == ref.predict_proba(probe).tobytes()
+
+
+def rf_constant(rng, n_classes):
+    return np.tile([0.0, 2.5, -1.0], (12, 1)), rng.integers(0, n_classes, 12)
+
+
+def rf_tiny(rng, n_classes):
+    """Two and three rows: nodes of one and two rows."""
+    n_rows = int(rng.integers(2, 4))
+    return rng.normal(size=(n_rows, 4)), np.arange(n_rows) % n_classes
+
+
+def rf_identical_columns(rng, n_classes):
+    """Every feature is the same column, so every candidate split ties."""
+    return np.repeat(rng.normal(size=(40, 1)), 9, axis=1), rng.integers(0, n_classes, 40)
+
+
+def rf_integer_ties(rng, n_classes):
+    return rng.integers(0, 4, size=(60, 16)).astype(np.float64), rng.integers(0, n_classes, 60)
+
+
+def rf_few_varying(rng, n_classes):
+    """36 features, so 6 examined per split, of which only 3 vary."""
+    X = np.zeros((50, 36))
+    X[:, [4, 17, 30]] = rng.normal(size=(50, 3))
+    return X, rng.integers(0, n_classes, 50)
+
+
+def rf_mixed(rng, n_classes):
+    """Normal, integer-tied, half-constant and constant columns."""
+    n_rows = int(rng.integers(2, 121))
+    kinds = rng.integers(0, 4, size=int(rng.integers(1, 61)))
+    X = np.empty((n_rows, kinds.size))
+    for f, kind in enumerate(kinds):
+        if kind == 0:
+            X[:, f] = rng.normal(size=n_rows)
+        elif kind == 1:
+            X[:, f] = rng.integers(0, 3, size=n_rows)
+        elif kind == 2:
+            X[:, f] = np.where(rng.random(n_rows) < 0.5, 0.0, rng.normal(size=n_rows))
+        else:
+            X[:, f] = 1.5
+    return X, rng.integers(0, n_classes, n_rows)
+
+
+RF_CASES = {
+    "all-constant": rf_constant,
+    "tiny": rf_tiny,
+    "identical-columns": rf_identical_columns,
+    "integer-ties": rf_integer_ties,
+    "few-varying": rf_few_varying,
+    "mixed": rf_mixed,
+}
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 5, 8])
+@pytest.mark.parametrize("case", sorted(RF_CASES))
+def test_batched_split_search_matches_per_feature_loop(case, n_classes):
+    for seed in range(4):
+        X, y = RF_CASES[case](np.random.default_rng([seed, n_classes]), n_classes)
+        params = RFParams(n_trees=12)
+        new = RandomForest(n_classes, params, seed=seed).fit(X, y)
+        ref = LoopRF(n_classes, params, seed=seed).fit(X, y)
+        assert_same_forest(new, ref, X)
+        if case == "all-constant":
+            assert all(tree.feature.tolist() == [-1] for tree in new.trees)
+        if case == "few-varying":
+            used = {int(f) for tree in new.trees for f in tree.feature if f >= 0}
+            assert used and used <= {4, 17, 30}
+
+
+def test_random_forest_matches_loop_on_a_pipeline_shaped_table():
+    """24 rows, 288 sparse columns, 3 classes: the training table of one
+    benchmark round, where most columns are constant in most nodes."""
+    rng = np.random.default_rng(1)
+    X = np.where(rng.random((24, 288)) < 0.8, 0.0, rng.integers(1, 5, (24, 288)).astype(float))
+    y = np.arange(24) % 3
+    new = RandomForest(3, RFParams(n_trees=30), seed=1).fit(X, y)
+    ref = LoopRF(3, RFParams(n_trees=30), seed=1).fit(X, y)
+    assert_same_forest(new, ref, X)

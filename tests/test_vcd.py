@@ -17,7 +17,6 @@ from wavetriage.vcd import (
     Timescale,
     UndeclaredId,
     ValueChange,
-    expand_vector,
     list_full_names,
     parse_header,
     stream_changes,
@@ -86,7 +85,8 @@ def test_real_var_flagged():
     text = "$scope module t $end\n$var real 64 ! v $end\n$upscope $end\n$enddefinitions $end\n"
     tree = parse_header(io.StringIO(text))
     sig = next(tree.iter_signals())
-    assert sig.is_real and sig.kind == "other"
+    assert sig.kind == "other"
+    assert sig.kind_raw == "real"
 
 
 def test_duplicate_full_name_rejected():
@@ -165,14 +165,6 @@ def test_malformed_change_nonstrict_skips():
 def test_timestamp_overflow_is_error():
     with pytest.raises(MalformedChange):
         parse_all(EXAMPLE_1 + f"#{2**64}\n1!\n")
-
-
-def test_expand_vector_rule():
-    assert expand_vector("1", 4) == "0001"
-    assert expand_vector("0", 4) == "0000"
-    assert expand_vector("x01", 4) == "xx01"
-    assert expand_vector("z1", 4) == "zzz1"
-    assert expand_vector("1010", 4) == "1010"
 
 
 def test_write_canonical_bytes():

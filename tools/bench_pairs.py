@@ -163,7 +163,8 @@ def main(argv=None) -> int:
             "command": "python3 bench/run.py --workload W --seed S --seconds "
             f"{seconds:g} --trace 0",
             "machine": {
-                "cpus": os.cpu_count(),
+                # the workloads size their worker pools from the affinity
+                "cpus": {"cpu_count": os.cpu_count(), "affinity": len(os.sched_getaffinity(0))},
                 "python": platform.python_version(),
                 "platform": platform.platform(),
             },
