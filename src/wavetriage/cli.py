@@ -146,25 +146,13 @@ def cmd_select(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    from .extract import ExtractError, sample_window, standardize, write_rough_csv
+    from .extract import write_rough_csv
+    from .orchestrate import read_window
     from .selection import SelectionReport
-    from .vcd import VcdError, parse_header, raise_problem, stream_changes
 
     tick_cap = _env_override("tick_cap", args.tick_cap, default=2000, cast=int)
     selection = SelectionReport.from_json(Path(args.selection).read_text())
-    try:
-        with open(args.vcd, "rb") as stream:
-            parse_header(stream)
-            window = sample_window(
-                stream_changes(stream, on_problem=raise_problem),
-                selection,
-                tick_cap=tick_cap,
-                label=args.label,
-                scenario_id=args.scenario_id,
-            )
-    except (VcdError, ExtractError) as exc:
-        raise type(exc)(f"{args.vcd} (scenario {args.scenario_id}): {exc}") from exc
-    window = standardize(window, tick_cap)
+    window = read_window(args.vcd, lambda tree: selection, tick_cap, args.label, args.scenario_id)
     out = Path(args.rough_csv)
     with open(out, "w", encoding="utf-8") as handle:
         write_rough_csv(window, handle)

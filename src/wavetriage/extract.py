@@ -64,10 +64,6 @@ class ValueEncoding:
     x_value: float = -1.0
     z_value: float = -2.0
 
-    @property
-    def uninitialized(self) -> float:
-        return self.x_value
-
     def encode(self, value: str) -> float:
         if len(value) == 1:
             if value == "0":
@@ -264,7 +260,7 @@ def sample_window(
     ``changes`` must be the unfiltered change stream so that every timestamp
     in the file defines a sample row; each row holds every selected signal's
     last-known value (forward fill). Signals never assigned before the
-    window start hold the encoding's uninitialized value. A non-finite value
+    window start hold the encoding's ``x_value``. A non-finite value
     in the window raises ``NonFiniteReal``; one overwritten before the window
     start is harmless.
     """
@@ -284,7 +280,7 @@ def sample_window(
         raise EmptyDump(f"no value changes in dump for scenario {scenario_id!r}")
 
     # The state is a plain list; only the last tick_cap rows are kept.
-    current = [encoding.uninitialized] * len(names)
+    current = [encoding.x_value] * len(names)
     rows: deque[list[float]] = deque(maxlen=tick_cap)
     times: deque[int] = deque(maxlen=tick_cap)
     encoded: dict[str, float] = {}

@@ -278,10 +278,7 @@ def _scan_assignment(
                 return None
         if op_index < 0:
             return None
-        lhs_index = start
-    else:
-        lhs_index = start
-    if not is_identifier(tokens[lhs_index]):
+    if not is_identifier(tokens[start]):
         return None
     depth = 0
     semi = -1
@@ -299,7 +296,7 @@ def _scan_assignment(
     return _Assignment(
         stmt_start=tokens[stmt_token].start,
         stmt_end=tokens[semi].end,
-        lhs_name=tokens[lhs_index].text,
+        lhs_name=tokens[start].text,
         rhs_start=tokens[op_index + 1].start,
         rhs_end=tokens[semi - 1].end,
         rhs_tokens=tuple(tokens[op_index + 1 : semi]),

@@ -27,6 +27,7 @@ from .extract import (
     ExtractError,
     FeatureRow,
     StatSet,
+    WaveWindow,
     assemble,
     dataset_csv_sizes,
     rough_csv_size,
@@ -37,8 +38,8 @@ from .extract import (
     write_rough_csv,
 )
 from .rtl import DesignSources, ModuleLookupTable, scan_sources, signals_for_targets
-from .selection import prune
-from .vcd import VcdError, parse_header, list_full_names, raise_problem, stream_changes
+from .selection import SelectionError, prune
+from .vcd import VcdError, parse_header, list_full_names, stream_changes
 
 
 STDERR_TAIL_BYTES = 2048
@@ -256,7 +257,31 @@ class StageSizeReport:
         return json.dumps(asdict(self), indent=2)
 
 
-def _process_waveform(payload) -> dict:
+def read_window(vcd_path, select, tick_cap: int, label: str, scenario_id: str) -> WaveWindow:
+    """The standardized window of one waveform.
+
+    ``select`` maps the waveform's parsed header to the
+    :class:`~wavetriage.selection.SelectionReport` of the signals to sample.
+    An error in the file or in its selection keeps its class and names the
+    path and the scenario.
+    """
+    try:
+        with open(vcd_path, "rb") as stream:
+            selection = select(parse_header(stream))
+            window = sample_window(
+                stream_changes(stream),
+                selection,
+                tick_cap=tick_cap,
+                label=label,
+                scenario_id=scenario_id,
+            )
+        return standardize(window, tick_cap)
+    except (VcdError, ExtractError, SelectionError) as exc:
+        raise type(exc)(f"{vcd_path} (scenario {scenario_id}): {exc}") from exc
+
+
+def _process_waveform(payload) -> tuple[FeatureRow, int, bool]:
+    """``(row, rough CSV bytes, tick-capped)`` of one waveform."""
     (
         vcd_path,
         label,
@@ -269,39 +294,18 @@ def _process_waveform(payload) -> dict:
         stat_names,
         rough_out,
     ) = payload
-    stats = StatSet(tuple(stat_names))
-    try:
-        with open(vcd_path, "rb") as stream:
-            tree = parse_header(stream)
-            report = prune(
-                list_full_names(tree),
-                target_signals,
-                instances,
-                top_module=top_module,
-                dut_root=dut_root,
-            )
-            window = sample_window(
-                stream_changes(stream, on_problem=raise_problem),
-                report,
-                tick_cap=tick_cap,
-                label=label,
-                scenario_id=scenario_id,
-            )
-    except (VcdError, ExtractError) as exc:
-        raise type(exc)(f"{vcd_path} (scenario {scenario_id}): {exc}") from exc
-    window = standardize(window, tick_cap)
+
+    def select(tree):
+        return prune(
+            list_full_names(tree), target_signals, instances, top_module=top_module, dut_root=dut_root
+        )
+
+    window = read_window(vcd_path, select, tick_cap, label, scenario_id)
     if rough_out is not None:
         with open(rough_out, "w", encoding="utf-8") as handle:
             write_rough_csv(window, handle)
-    row = summarize(window, stats)
-    return {
-        "scenario_id": scenario_id,
-        "features": row.features,
-        "feature_names": row.feature_names,
-        "label": label,
-        "rough_bytes": rough_csv_size(window),
-        "capped": window.available_ticks >= tick_cap,
-    }
+    row = summarize(window, StatSet(tuple(stat_names)))
+    return row, rough_csv_size(window), window.available_ticks >= tick_cap
 
 
 _last_design: tuple[str, ModuleLookupTable] | None = None
@@ -387,23 +391,17 @@ def run_data_pipeline(
 
     report = StageSizeReport(raw=raw_bytes)
     rows = []
-    for out in outputs:
-        row = FeatureRow(
-            features=out["features"],
-            feature_names=out["feature_names"],
-            label=out["label"],
-            scenario_id=out["scenario_id"],
-        )
+    for row, rough_bytes, capped in outputs:
         rows.append(row)
-        report.rough += out["rough_bytes"]
-        if out["capped"]:
-            report.tick_capped.append(out["scenario_id"])
+        report.rough += rough_bytes
+        if capped:
+            report.tick_capped.append(row.scenario_id)
 
     dataset = assemble(rows)
     # the per-scenario CSVs hold the same rows as the final CSV, and each
     # repeats its header
     header, row_sizes = dataset_csv_sizes(dataset)
-    scenarios = {out["scenario_id"].split("#")[0] for out in outputs}
+    scenarios = {row.scenario_id.split("#")[0] for row in rows}
     report.final = header + sum(row_sizes)
     report.compressed = report.final + (len(scenarios) - 1) * header
     return dataset, report

@@ -63,9 +63,6 @@ class ModuleLookupTable:
     instances: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
     params: dict[str, set[str]] = field(default_factory=dict)
 
-    def modules(self) -> list[str]:
-        return list(self.entries)
-
     def leaf_names(self, module: str) -> set[str]:
         if module not in self.entries:
             raise UnknownModule(module)
@@ -79,14 +76,6 @@ class ModuleLookupTable:
             if name in group:
                 return decl_type
         return None
-
-    def merge(self, other: "ModuleLookupTable") -> None:
-        for module in other.entries:
-            if module in self.entries:
-                raise DuplicateModule(module)
-        self.entries.update(other.entries)
-        self.instances.update(other.instances)
-        self.params.update(other.params)
 
     def to_json(self) -> str:
         doc = {
@@ -344,14 +333,6 @@ class _Cursor:
             self.i += 1
 
 
-def _normalize_dims(tokens: list[Token]) -> str:
-    out = []
-    for tok in tokens:
-        out.append(tok.text)
-    text = "".join(out)
-    return text
-
-
 class _ModuleScan:
     def __init__(self, name: str):
         self.name = name
@@ -370,7 +351,7 @@ def _scan_packed_dims(cur: _Cursor) -> str:
     while cur.peek_text() == "[":
         start = cur.i
         cur.skip_balanced()
-        dims += _normalize_dims(cur.tokens[start : cur.i])
+        dims += "".join(tok.text for tok in cur.tokens[start : cur.i])
     return dims
 
 
@@ -509,8 +490,8 @@ def _scan_ansi_ports(cur: _Cursor, scan: _ModuleScan):
 
 
 def _header_is_ansi(cur: _Cursor) -> bool:
-    """Peek inside '(' to decide ANSI vs. non-ANSI port style."""
-    j = cur.i
+    """Peek inside the '(' at the cursor to decide ANSI vs. non-ANSI port style."""
+    j = cur.i + 1
     tokens = cur.tokens
     while j < len(tokens):
         t = tokens[j].text
@@ -772,7 +753,7 @@ def _scan_file(path: str, text: str, table: ModuleLookupTable):
                     cur.advance()
             cur.expect(")")
         if cur.peek_text() == "(":
-            if _header_is_ansi(cur_after_paren(cur)):
+            if _header_is_ansi(cur):
                 cur.advance()
                 _scan_ansi_ports(cur, scan)
             else:
@@ -786,12 +767,6 @@ def _scan_file(path: str, text: str, table: ModuleLookupTable):
         table.entries[scan.name] = groups
         table.instances[scan.name] = scan.instances
         table.params[scan.name] = scan.params
-
-
-def cur_after_paren(cur: _Cursor) -> _Cursor:
-    clone = _Cursor(cur.tokens, cur.file)
-    clone.i = cur.i + 1
-    return clone
 
 
 def scan_sources(sources: DesignSources) -> ModuleLookupTable:

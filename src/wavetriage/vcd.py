@@ -34,7 +34,6 @@ _KIND_MAP = {
     "bit": "logic",
     "integer": "integer",
 }
-VAR_KINDS = ("wire", "reg", "logic", "integer", "other")
 
 _SCALAR_CHARS = frozenset("01xzXZ")
 # text.translate(_DROP_VECTOR_CHARS) keeps only what a vector value may not hold
@@ -67,8 +66,7 @@ class MalformedChange(VcdError):
 
 
 class TimeRegression(VcdError):
-    """A ``#`` timestamp went backwards. Reported through ``on_problem``; the
-    stream continues unless the handler raises."""
+    """A ``#`` timestamp went backwards."""
 
 
 class UndeclaredId(VcdError):
@@ -181,7 +179,6 @@ def parse_header(stream: IO) -> ScopeTree:
     tree = ScopeTree()
     scope_stack: list[Scope] = []
     seen_names: set[tuple[tuple[str, ...], str]] = set()
-    timescale_seen = False
 
     tokens: list[str] = []
     pos = 0
@@ -220,7 +217,6 @@ def parse_header(stream: IO) -> ScopeTree:
             except ValueError:
                 raise MalformedHeader(f"bad $timescale {' '.join(body)!r}") from None
             tree.timescale = Timescale(magnitude, unit_part)
-            timescale_seen = True
         elif tok == "$scope":
             kind = next_token()
             name = next_token()
@@ -282,9 +278,6 @@ def parse_header(stream: IO) -> ScopeTree:
 
     if scope_stack:
         raise MalformedHeader(f"unclosed scope {scope_stack[-1].name!r}")
-    if not timescale_seen:
-        # Tolerated: many tools omit it. Default (1, ns) applies.
-        pass
     return tree
 
 
@@ -312,40 +305,22 @@ def _text_blocks(read: Callable[[int], Union[str, bytes]]) -> Iterator[str]:
         yield carry
 
 
-def raise_problem(exc: VcdError) -> None:
-    """``on_problem`` handler that raises what :func:`stream_changes` reports."""
-    raise exc
-
-
 def stream_changes(
-    stream: Iterable,
-    id_filter: frozenset[str] | set[str] = frozenset(),
-    *,
-    strict: bool = True,
-    on_problem: Callable[[VcdError], None] | None = None,
+    stream: Iterable, id_filter: frozenset[str] | set[str] = frozenset()
 ) -> Iterator[ValueChange]:
     """Yield value changes from a VCD body in file order.
 
     The header must already have been consumed. ``stream`` is a file-like
     object (text or binary, read in blocks) or an iterable of lines, each
-    split on its own. An empty
-    ``id_filter`` keeps every change. Timestamp regressions are reported
-    through ``on_problem`` and the stream continues; malformed records raise
-    when ``strict`` is true, otherwise they are reported and skipped. Pass
-    :func:`raise_problem` to make every reported problem fatal.
+    split on its own. An empty ``id_filter`` keeps every change. A malformed
+    record raises :class:`MalformedChange` and a backward timestamp raises
+    :class:`TimeRegression`, each where it is found.
     """
     keep_all = not id_filter
     make = tuple.__new__  # ValueChange(...) without the keyword-argument wrapper
     scalar_chars = _SCALAR_CHARS
     drop_vector_chars = _DROP_VECTOR_CHARS
     keywords = _BODY_KEYWORDS
-
-    def report(exc: VcdError):
-        if isinstance(exc, TimeRegression) or not strict:
-            if on_problem is not None:
-                on_problem(exc)
-        else:
-            raise exc
 
     current_time = 0
     pending_value: str | None = None  # vector/real value waiting for its id token
@@ -363,51 +338,47 @@ def stream_changes(
             if pending_value is not None:
                 value, pending_value = pending_value, None
                 if tok in keywords:
-                    report(MalformedChange(f"vector value without identifier before {tok!r}"))
-                elif keep_all or tok in id_filter:
+                    raise MalformedChange(f"vector value without identifier before {tok!r}")
+                if keep_all or tok in id_filter:
                     yield make(ValueChange, (current_time, tok, value))
                 continue
             c0 = tok[0]
             if c0 == "b" or c0 == "B":
                 bits = tok[1:].lower()
                 if not bits or bits.translate(drop_vector_chars):
-                    report(MalformedChange(f"bad vector value {tok!r}"))
-                    continue
+                    raise MalformedChange(f"bad vector value {tok!r}")
                 pending_value = bits
             elif c0 in scalar_chars:
                 ident = tok[1:]
                 if not ident:
-                    report(MalformedChange(f"scalar change {tok!r} missing identifier"))
-                elif keep_all or ident in id_filter:
+                    raise MalformedChange(f"scalar change {tok!r} missing identifier")
+                if keep_all or ident in id_filter:
                     yield make(ValueChange, (current_time, ident, c0.lower()))
             elif c0 == "#":
                 try:
                     t = int(tok[1:])
                 except ValueError:
-                    report(MalformedChange(f"bad timestamp {tok!r}"))
-                    continue
+                    raise MalformedChange(f"bad timestamp {tok!r}") from None
                 if t < 0 or t > MAX_TICK:
-                    report(MalformedChange(f"timestamp {tok!r} outside 64-bit tick range"))
-                    continue
+                    raise MalformedChange(f"timestamp {tok!r} outside 64-bit tick range")
                 if t < current_time:
-                    report(TimeRegression(f"timestamp went backwards: {current_time} -> {t}"))
+                    raise TimeRegression(f"timestamp went backwards: {current_time} -> {t}")
                 current_time = t
             elif c0 == "r" or c0 == "R":
                 num = tok[1:]
                 try:
                     float(num)
                 except ValueError:
-                    report(MalformedChange(f"bad real value {tok!r}"))
-                    continue
+                    raise MalformedChange(f"bad real value {tok!r}") from None
                 pending_value = "r" + num
             elif tok == "$comment":
                 in_comment = True
             elif tok not in keywords:
-                report(MalformedChange(f"unrecognized change record {tok!r}"))
+                raise MalformedChange(f"unrecognized change record {tok!r}")
             # $dumpvars / $dumpall / $dumpon / $dumpoff / $end pass through;
             # the value records inside them are ordinary changes.
     if pending_value is not None:
-        report(MalformedChange("vector value at end of file missing identifier"))
+        raise MalformedChange("vector value at end of file missing identifier")
 
 
 def _validate_value(value: str, width: int) -> str | None:

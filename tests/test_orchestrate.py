@@ -16,6 +16,7 @@ from wavetriage.fixtures import (
     materialize_corpus,
     simulator_command,
 )
+from wavetriage.selection import NoSignalsSelected
 from wavetriage.vcd import MalformedChange, TimeRegression
 from wavetriage.orchestrate import (
     JobResult,
@@ -370,6 +371,12 @@ def _backward_timestamp(path, out):
     out.write_text(header + "$enddefinitions $end\n#0\n0!\n#5\n1!\n#2\n0!\n#6\n1!\n", encoding="latin-1")
 
 
+def _renamed_dut_scope(path, out):
+    """``path`` with its ``dut`` scope renamed: nothing lies under ``tb.dut``."""
+    text = path.read_text(encoding="latin-1")
+    out.write_text(text.replace("$scope module dut $end", "$scope module dux $end", 1), encoding="latin-1")
+
+
 @pytest.mark.parametrize(
     "corrupt, error",
     [
@@ -377,6 +384,7 @@ def _backward_timestamp(path, out):
         (_empty_body, EmptyDump),
         (_non_finite_real, NonFiniteReal),
         (_backward_timestamp, TimeRegression),
+        (_renamed_dut_scope, NoSignalsSelected),
     ],
 )
 @pytest.mark.parametrize("workers", [1, 2])
@@ -459,7 +467,7 @@ def test_design_table_rescans_an_edited_source(corpus, tmp_path):
 
     # a signal of the first target that no other module declares
     module = corpus.modules[0]
-    others = set().union(*(table.leaf_names(m) for m in table.modules() if m != module))
+    others = set().union(*(table.leaf_names(m) for m in table.entries if m != module))
     name = next(
         n for n in sorted(table.leaf_names(module) - others)
         if any(f".{n}__" in f for f in before.feature_names)

@@ -198,11 +198,13 @@ def test_json_round_trip():
     assert clone.instances == table.instances
 
 
-def test_merge_detects_duplicates():
-    t1 = scan_text("module a; endmodule")
-    t2 = scan_text("module a; endmodule", path="other.sv")
-    with pytest.raises(DuplicateModule):
-        t1.merge(t2)
+def test_duplicate_module_across_files_rejected():
+    sources = DesignSources(
+        files=[("a.sv", "module a; endmodule"), ("other.sv", "module a; wire x; endmodule")]
+    )
+    with pytest.raises(DuplicateModule) as err:
+        scan_sources(sources)
+    assert err.value.name == "a"
 
 
 def test_tokenizer_offsets_are_byte_exact():

@@ -26,10 +26,10 @@ from wavetriage.vcd import (
 EXAMPLE_1 = "$timescale 1ns $end\n$scope module top $end\n$var wire 1 ! clk $end\n$upscope $end\n$enddefinitions $end\n"
 
 
-def parse_all(text, id_filter=frozenset(), **kw):
+def parse_all(text, id_filter=frozenset()):
     stream = io.StringIO(text)
     tree = parse_header(stream)
-    return tree, list(stream_changes(stream, id_filter, **kw))
+    return tree, list(stream_changes(stream, id_filter))
 
 
 def test_parse_minimal_header():
@@ -139,27 +139,16 @@ def test_changes_before_first_timestamp_are_at_zero():
     assert changes == [ValueChange(0, "!", "x"), ValueChange(4, "!", "1")]
 
 
-def test_time_regression_reported_and_continues():
-    problems = []
-    _, changes = parse_all(
-        EXAMPLE_1 + "#5\n1!\n#2\n0!\n", on_problem=problems.append
-    )
-    assert [type(p) for p in problems] == [TimeRegression]
-    assert changes == [ValueChange(5, "!", "1"), ValueChange(2, "!", "0")]
+def test_time_regression_raises():
+    stream = io.StringIO(EXAMPLE_1 + "#5\n1!\n#2\n0!\n")
+    parse_header(stream)
+    with pytest.raises(TimeRegression, match="5 -> 2"):
+        list(stream_changes(stream))
 
 
 def test_malformed_change_strict_raises():
     with pytest.raises(MalformedChange):
         parse_all(EXAMPLE_1 + "#0\nq!\n")
-
-
-def test_malformed_change_nonstrict_skips():
-    problems = []
-    _, changes = parse_all(
-        EXAMPLE_1 + "#0\nq!\n1!\n", strict=False, on_problem=problems.append
-    )
-    assert changes == [ValueChange(0, "!", "1")]
-    assert len(problems) == 1
 
 
 def test_timestamp_overflow_is_error():
@@ -305,21 +294,14 @@ def test_fuzz_mutations_never_crash():
 
 
 # ---------------------------------------------------------------------------
-# Block tokenizer: the same changes, problems and errors as line-by-line
-# splitting, whatever the block size and the kind of stream.
+# Block tokenizer: the same changes and errors as line-by-line splitting,
+# whatever the block size and the kind of stream.
 
 
-def _line_by_line_changes(lines, id_filter=frozenset(), *, strict=True, on_problem=None):
+def _line_by_line_changes(lines, id_filter=frozenset()):
     """Reference parser: split each line on its own (the parser's behaviour
     before it read in blocks)."""
     keep_all = not id_filter
-
-    def report(exc):
-        if isinstance(exc, TimeRegression) or not strict:
-            if on_problem is not None:
-                on_problem(exc)
-        else:
-            raise exc
 
     current_time = 0
     pending_value = None
@@ -335,8 +317,7 @@ def _line_by_line_changes(lines, id_filter=frozenset(), *, strict=True, on_probl
             if pending_value is not None:
                 value, pending_value = pending_value, None
                 if tok in vcd._BODY_KEYWORDS:
-                    report(MalformedChange(f"vector value without identifier before {tok!r}"))
-                    continue
+                    raise MalformedChange(f"vector value without identifier before {tok!r}")
                 if keep_all or tok in id_filter:
                     yield ValueChange(current_time, tok, value)
                 continue
@@ -345,55 +326,50 @@ def _line_by_line_changes(lines, id_filter=frozenset(), *, strict=True, on_probl
                 try:
                     t = int(tok[1:])
                 except ValueError:
-                    report(MalformedChange(f"bad timestamp {tok!r}"))
-                    continue
+                    raise MalformedChange(f"bad timestamp {tok!r}")
                 if t < 0 or t > vcd.MAX_TICK:
-                    report(MalformedChange(f"timestamp {tok!r} outside 64-bit tick range"))
-                    continue
+                    raise MalformedChange(f"timestamp {tok!r} outside 64-bit tick range")
                 if t < current_time:
-                    report(TimeRegression(f"timestamp went backwards: {current_time} -> {t}"))
+                    raise TimeRegression(f"timestamp went backwards: {current_time} -> {t}")
                 current_time = t
             elif c0 in "01xzXZ":
                 ident = tok[1:]
                 if not ident:
-                    report(MalformedChange(f"scalar change {tok!r} missing identifier"))
-                    continue
+                    raise MalformedChange(f"scalar change {tok!r} missing identifier")
                 if keep_all or ident in id_filter:
                     yield ValueChange(current_time, ident, c0.lower())
             elif c0 in "bB":
                 bits = tok[1:].lower()
                 if not bits or not set("01xz").issuperset(bits):
-                    report(MalformedChange(f"bad vector value {tok!r}"))
-                    continue
+                    raise MalformedChange(f"bad vector value {tok!r}")
                 pending_value = bits
             elif c0 in "rR":
                 num = tok[1:]
                 try:
                     float(num)
                 except ValueError:
-                    report(MalformedChange(f"bad real value {tok!r}"))
-                    continue
+                    raise MalformedChange(f"bad real value {tok!r}")
                 pending_value = "r" + num
             elif tok in vcd._BODY_KEYWORDS:
                 if tok == "$comment":
                     in_comment = True
             else:
-                report(MalformedChange(f"unrecognized change record {tok!r}"))
+                raise MalformedChange(f"unrecognized change record {tok!r}")
     if pending_value is not None:
-        report(MalformedChange("vector value at end of file missing identifier"))
+        raise MalformedChange("vector value at end of file missing identifier")
 
 
 def _outcome(parse, stream, **kw):
-    """Changes, reported problems and the raised error of one parse."""
-    changes, problems = [], []
+    """Changes and the raised error of one parse."""
+    changes = []
     try:
-        for change in parse(stream, on_problem=problems.append, **kw):
+        for change in parse(stream, **kw):
             changes.append(change)
     except vcd.VcdError as exc:
         error = (type(exc), str(exc))
     else:
         error = None
-    return changes, [(type(p), str(p)) for p in problems], error
+    return changes, error
 
 
 def _streams(body: bytes):
@@ -410,7 +386,7 @@ TRICKY_BODIES = [
     b"#0\n$dumpvars\nx!\nb0 %\n$end\n#7\nr1.25e-3 &\nR2 &\n",
     b"#0\nbq %\n1!\n",  # bad vector value
     b"#0\nb01\n$end\n#2\n1!\n",  # vector without identifier before a keyword
-    b"#3\n1!\n#1\n0!\n#x\n",  # time regression, then a bad timestamp
+    b"#3\n1!\n#1\n0!\n#x\n",  # the time regression raises before the bad timestamp
     b"#0\n1!\nb10",  # vector at end of file missing identifier
     b"#0\r\n1!\r\n\t#4 \x0b0! \x0cz!\x1cX!\n",  # every whitespace split() knows
     b"#1 b10  \n\n   %  0!",  # value and identifier on different lines
@@ -419,15 +395,13 @@ TRICKY_BODIES = [
 
 @pytest.mark.parametrize("body", TRICKY_BODIES)
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 18])
-@pytest.mark.parametrize("strict", [True, False])
-def test_block_tokenizer_matches_line_by_line(monkeypatch, body, block, strict):
+@pytest.mark.parametrize("filtered", [True, False])
+def test_block_tokenizer_matches_line_by_line(monkeypatch, body, block, filtered):
     monkeypatch.setattr(vcd, "_BLOCK_CHARS", block)
-    want = _outcome(_line_by_line_changes, body.splitlines(keepends=True), strict=strict)
+    id_filter = {"%"} if filtered else frozenset()
+    want = _outcome(_line_by_line_changes, body.splitlines(keepends=True), id_filter=id_filter)
     for stream in _streams(body):
-        assert _outcome(stream_changes, stream, strict=strict) == want
-    assert _outcome(stream_changes, io.BytesIO(body), id_filter={"%"}, strict=strict) == _outcome(
-        _line_by_line_changes, body.splitlines(keepends=True), id_filter={"%"}, strict=strict
-    )
+        assert _outcome(stream_changes, stream, id_filter=id_filter) == want
 
 
 def test_block_tokenizer_after_header_on_a_file(tmp_path, monkeypatch):
@@ -469,6 +443,6 @@ def test_block_tokenizer_matches_line_by_line_on_mutated_dumps(monkeypatch, bloc
             else:
                 mutated.insert(pos, rng.choice(b" \n$#bx!r"))
         body = bytes(mutated)
-        strict = rng.random() < 0.5
-        want = _outcome(_line_by_line_changes, body.splitlines(keepends=True), strict=strict)
-        assert _outcome(stream_changes, io.BytesIO(body), strict=strict) == want
+        rng.random()  # once drew a lenient/strict switch; kept so the same bodies are checked
+        want = _outcome(_line_by_line_changes, body.splitlines(keepends=True))
+        assert _outcome(stream_changes, io.BytesIO(body)) == want
