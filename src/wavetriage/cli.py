@@ -146,13 +146,22 @@ def cmd_select(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    from .extract import write_rough_csv
+    from .extract import DEFAULT_TICK_CAP, write_rough_csv
     from .orchestrate import read_window
-    from .selection import SelectionReport
+    from .selection import SelectionError, SelectionReport
+    from .vcd import list_full_names
 
-    tick_cap = _env_override("tick_cap", args.tick_cap, default=2000, cast=int)
+    tick_cap = _env_override("tick_cap", args.tick_cap, default=DEFAULT_TICK_CAP, cast=int)
     selection = SelectionReport.from_json(Path(args.selection).read_text())
-    window = read_window(args.vcd, lambda tree: selection, tick_cap, args.label, args.scenario_id)
+
+    def select(tree):
+        declared = set(list_full_names(tree))
+        missing = [entry[:3] for entry in selection.selected if entry[:3] not in declared]
+        if missing:
+            raise SelectionError(f"selected signal {missing[0]!r} is not declared in the waveform")
+        return selection
+
+    window = read_window(args.vcd, select, tick_cap, args.label, args.scenario_id)
     out = Path(args.rough_csv)
     with open(out, "w", encoding="utf-8") as handle:
         write_rough_csv(window, handle)
@@ -221,7 +230,7 @@ def cmd_compress(args) -> int:
 def cmd_train(args) -> int:
     from .extract import read_dataset_csv
     from .models import fit, save_model
-    from .ranking import reduce_signals
+    from .ranking import DEFAULT_KEEP_FRACTION, DEFAULT_MAX_SIGNALS, reduce_signals
 
     seed = _env_override("seed", args.seed, default=0, cast=int)
     with open(args.train, "r", encoding="utf-8") as handle:
@@ -233,9 +242,11 @@ def cmd_train(args) -> int:
         report = SelectionReport.from_json(Path(args.selection).read_text())
         coverage = {name: owner for name, _, _, owner in report.selected}
         keep_fraction = _env_override(
-            "keep_fraction", args.keep_fraction, default=0.6, cast=float
+            "keep_fraction", args.keep_fraction, default=DEFAULT_KEEP_FRACTION, cast=float
         )
-        max_signals = _env_override("max_signals", args.max_signals, default=5000, cast=int)
+        max_signals = _env_override(
+            "max_signals", args.max_signals, default=DEFAULT_MAX_SIGNALS, cast=int
+        )
         train, history = reduce_signals(
             train, coverage, keep_fraction=keep_fraction, max_signals=max_signals, seed=seed
         )
@@ -330,7 +341,7 @@ def cmd_inject(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    from .extract import write_dataset_csv
+    from .extract import DEFAULT_TICK_CAP, write_dataset_csv
     from .metrics import evaluate
     from .models import fit, save_model
     from .orchestrate import (
@@ -340,17 +351,20 @@ def cmd_pipeline(args) -> int:
         run_data_pipeline,
         scenario_jobs,
     )
+    from .ranking import DEFAULT_KEEP_FRACTION, DEFAULT_MAX_SIGNALS
 
     cfg = PipelineConfig.from_json_file(args.config)
     cfg.worker_count = _env_override("workers", args.workers, cfg.worker_count, 1, int)
-    cfg.tick_cap = _env_override("tick_cap", args.tick_cap, cfg.tick_cap, 2000, int)
+    cfg.tick_cap = _env_override("tick_cap", args.tick_cap, cfg.tick_cap, DEFAULT_TICK_CAP, int)
     cfg.seed = _env_override("seed", args.seed, cfg.seed, 0, int)
     if args.stats:
         cfg.stats = tuple(s.strip() for s in args.stats.split(",") if s.strip())
     cfg.keep_fraction = _env_override(
-        "keep_fraction", args.keep_fraction, cfg.keep_fraction, 0.6, float
+        "keep_fraction", args.keep_fraction, cfg.keep_fraction, DEFAULT_KEEP_FRACTION, float
     )
-    cfg.max_signals = _env_override("max_signals", args.max_signals, cfg.max_signals, 5000, int)
+    cfg.max_signals = _env_override(
+        "max_signals", args.max_signals, cfg.max_signals, DEFAULT_MAX_SIGNALS, int
+    )
     inj = cfg.injection or {}
     if inj.get("enabled"):
         from . import mutate

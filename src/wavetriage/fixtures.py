@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import shlex
 import sys
@@ -26,6 +25,7 @@ import numpy as np
 
 from . import vcd
 from .rtl import DesignSources, scan_sources
+from .sysio import replace_file
 
 MODULE_POOL = (
     "ctrl_unit",
@@ -442,7 +442,7 @@ def gen_failing_vcd(
     row-major ``nonzero`` yields the changes in time order, then layout
     order. Each distinct (signal, value) line is formatted and validated
     once, and the file is encoded in one piece. With ``out_path`` the
-    bytes replace that file atomically (see :func:`_write_atomic`).
+    bytes replace that file atomically (see :func:`wavetriage.sysio.replace_file`).
     """
     if label_module not in design.recipes:
         raise UnknownModule(label_module)
@@ -502,7 +502,7 @@ def gen_failing_vcd(
 
     signals = list(tree.iter_signals())
     lines: dict[tuple[int, int], str] = {}
-    parts = [vcd._header_text(tree)]
+    parts = [vcd.header_text(tree)]
     last_row = -1
     for row, col, value in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()):
         if row != last_row:
@@ -510,42 +510,16 @@ def gen_failing_vcd(
             last_row = row
         line = lines.get((col, value))
         if line is None:
-            line = lines[col, value] = _change_line(signals[col], value)
+            sig = signals[col]
+            text = "01"[value] if sig.width == 1 else format(value, "b")
+            line = lines[col, value] = vcd.change_line(text, sig.id_code, sig.width)
         parts.append(line)
 
     blob = "".join(parts).encode("latin-1")
     if out_path is None:
         return blob
-    _write_atomic(Path(out_path), blob)
+    replace_file(out_path, blob)
     return None
-
-
-def _change_line(sig: vcd.SignalDecl, value: int) -> str:
-    """The body line setting ``sig`` to ``value``, as ``vcd.write_vcd``
-    formats it; raises ``vcd.MalformedChange`` as that writer does."""
-    text = "01"[value] if sig.width == 1 else format(value, "b")
-    problem = vcd._validate_value(text, sig.width)
-    if problem:
-        raise vcd.MalformedChange(problem)
-    if sig.width == 1:
-        return f"{text}{sig.id_code}\n"
-    return f"b{text} {sig.id_code}\n"
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` through a temporary file in the same
-    directory and ``os.replace``, so a reader sees the old file or the new
-    one, never a partial write; a failure removes the temporary file. The
-    file gets the mode a plain ``open`` gives (``0o666`` less the umask)."""
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +589,7 @@ def materialize_corpus(
             "sim_latency": sim_latency,
         }
     manifest_path = design.root / "manifest.json"
-    _write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
+    replace_file(manifest_path, json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
     return manifest_path
 
 

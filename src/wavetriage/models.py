@@ -15,6 +15,7 @@ from typing import Any
 import numpy as np
 
 from .extract import Dataset
+from .sysio import replace_file
 from .trees import GBTParams, GradientBoostedTrees, RandomForest, RFParams
 
 MODEL_KINDS = ("knn", "random_forest", "gbt")
@@ -160,8 +161,7 @@ def predict_topk(model: ClassifierModel, row: np.ndarray, k: int) -> list[tuple[
 
 def save_model(model: ClassifierModel, path) -> None:
     payload = {"magic": _MAGIC, "version": _FORMAT_VERSION, "model": model}
-    with open(path, "wb") as handle:
-        pickle.dump(payload, handle, protocol=4)
+    replace_file(path, pickle.dumps(payload, protocol=4))
 
 
 def load_model(path) -> ClassifierModel:

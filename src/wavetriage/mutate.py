@@ -22,20 +22,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import random
-import shlex
-import shutil
-import subprocess
-import tempfile
-import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import rtl
 from .rtl import ModuleLookupTable, Token, UnknownModule, is_identifier
+from .sysio import replace_file, run_template
 
 BUG_TYPES = (
     "missing_assignment",
@@ -102,7 +97,6 @@ class PatchRecord:
     spec: MutationSpec
     pre_hash: str
     post_hash: str
-    applied_at: float
 
 
 @dataclass
@@ -147,20 +141,6 @@ def read_source(path) -> str:
     # newline='' keeps CR/LF bytes intact so hashes stay byte-faithful
     with open(path, "r", encoding="utf-8", newline="") as handle:
         return handle.read()
-
-
-def _write_source(path, text: str) -> None:
-    """Replace ``path`` atomically: a failure mid-write leaves the old bytes."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with open(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        shutil.copymode(path, tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -492,13 +472,8 @@ def apply(spec: MutationSpec, design_dir=".") -> PatchRecord:
     if text[spec.site_start : spec.site_end] != spec.original:
         raise StaleFile(f"site bytes of {spec.file} do not match the plan")
     patched = text[: spec.site_start] + spec.replacement + text[spec.site_end :]
-    _write_source(path, patched)
-    return PatchRecord(
-        spec=spec,
-        pre_hash=pre_hash,
-        post_hash=_sha256(patched),
-        applied_at=time.time(),
-    )
+    replace_file(path, patched.encode("utf-8"))
+    return PatchRecord(spec=spec, pre_hash=pre_hash, post_hash=_sha256(patched))
 
 
 def revert(record: PatchRecord, design_dir=".") -> None:
@@ -511,7 +486,7 @@ def revert(record: PatchRecord, design_dir=".") -> None:
     restored = text[: spec.site_start] + spec.original + text[end:]
     if _sha256(restored) != record.pre_hash:
         raise HashMismatch(f"reverting {spec.file} did not restore the original bytes")
-    _write_source(path, restored)
+    replace_file(path, restored.encode("utf-8"))
 
 
 def revert_all(records: Sequence[PatchRecord], design_dir=".") -> None:
@@ -522,22 +497,13 @@ def revert_all(records: Sequence[PatchRecord], design_dir=".") -> None:
 # ---------------------------------------------------------------------------
 # The apply -> check -> accept/revert loop
 
-def _run_command(template: str, design_dir, scenario_id: str, timeout: float):
-    args = [
-        part.format(design_dir=str(design_dir), scenario_id=scenario_id)
-        for part in shlex.split(template)
-    ]
+def _run_check(template: str, design_dir, scenario_id: str, timeout: float) -> tuple[int, bool]:
+    """``(exit code, timed out)``; a timed-out check reads as exit code -1."""
     try:
-        proc = subprocess.run(
-            args,
-            timeout=timeout,
-            capture_output=True,
-        )
-        return proc.returncode, False
+        rc, _ = run_template(template, timeout, design_dir=str(design_dir), scenario_id=scenario_id)
     except FileNotFoundError as exc:
-        raise CommandNotFound(f"check command not found: {args[0]!r}") from exc
-    except subprocess.TimeoutExpired:
-        return -1, True
+        raise CommandNotFound(f"check command not found: {exc.filename!r}") from exc
+    return (-1, True) if rc is None else (rc, False)
 
 
 def _log_failure(log_path, scenario_id: str, specs: Sequence[MutationSpec], reason: str):
@@ -626,7 +592,7 @@ def run_scenario(
     scenario = BugScenario(scenario_id=scenario_id, patches=records, label=label, attempts=1)
 
     try:
-        rc, timed_out = _run_command(check.compile, design_dir, scenario_id, check.timeout)
+        rc, timed_out = _run_check(check.compile, design_dir, scenario_id, check.timeout)
         if timed_out or rc != 0:
             scenario.status = (
                 STATUS_REJECTED_INEFFECTIVE if timed_out else STATUS_REJECTED_SYNTAX
@@ -635,7 +601,7 @@ def run_scenario(
             revert_all(records, design_dir)
             return scenario
 
-        rc, timed_out = _run_command(check.test, design_dir, scenario_id, check.timeout)
+        rc, timed_out = _run_check(check.test, design_dir, scenario_id, check.timeout)
         if timed_out or rc == 0:
             scenario.status = STATUS_REJECTED_INEFFECTIVE
             _log_failure(

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import shlex
-import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -37,8 +35,10 @@ from .extract import (
     write_dataset_csv,  # noqa: F401 - bench/tracing.py patches this name here
     write_rough_csv,
 )
+from .ranking import DEFAULT_KEEP_FRACTION, DEFAULT_MAX_SIGNALS
 from .rtl import DesignSources, ModuleLookupTable, scan_sources, signals_for_targets
 from .selection import SelectionError, prune
+from .sysio import run_template
 from .vcd import VcdError, parse_header, list_full_names, stream_changes
 
 
@@ -77,8 +77,8 @@ class PipelineConfig:
     retry_limit: int = 2
     seed: int = 0
     stats: tuple[str, ...] = DEFAULT_STATS.names
-    keep_fraction: float = 0.6
-    max_signals: int = 5000
+    keep_fraction: float = DEFAULT_KEEP_FRACTION
+    max_signals: int = DEFAULT_MAX_SIGNALS
     reduce: bool = False
     models: tuple[str, ...] = ("gbt", "random_forest", "knn")
     keep_rough: bool = False
@@ -112,7 +112,6 @@ class ScenarioJob:
     seed: int
     scratch_dir: Path
     reseed_count: int = 1
-    status: str = "queued"
 
 
 @dataclass
@@ -154,10 +153,6 @@ def scenario_jobs(cfg: PipelineConfig, scratch_root, split: str, per_module: int
     return jobs
 
 
-def _format_command(template: str, **values) -> list[str]:
-    return [part.format(**values) for part in shlex.split(template)]
-
-
 def _run_one_job(job: ScenarioJob, cfg: PipelineConfig) -> JobResult:
     start = time.perf_counter()
     job.scratch_dir.mkdir(parents=True, exist_ok=True)
@@ -175,33 +170,28 @@ def _run_one_job(job: ScenarioJob, cfg: PipelineConfig) -> JobResult:
             attempts=attempts,
             returncode=returncode,
             timed_out=timed_out,
-            stderr_tail=(stderr or b"")[-STDERR_TAIL_BYTES:].decode("utf-8", errors="replace"),
+            stderr_tail=stderr[-STDERR_TAIL_BYTES:].decode("utf-8", errors="replace"),
         )
 
     for reseed in range(job.reseed_count):
         out = job.scratch_dir / f"wave_{reseed:02d}.vcd"
-        ok = False
         for _ in range(cfg.retry_limit + 1):
             attempts += 1
-            args = _format_command(
-                cfg.simulator,
-                design_dir=cfg.design_dir,
-                scenario_id=job.scenario_id,
-                seed=job.seed + reseed,
-                vcd_out=str(out),
-            )
             try:
-                proc = subprocess.run(args, capture_output=True, timeout=cfg.sim_timeout)
+                returncode, stderr = run_template(
+                    cfg.simulator,
+                    cfg.sim_timeout,
+                    design_dir=cfg.design_dir,
+                    scenario_id=job.scenario_id,
+                    seed=job.seed + reseed,
+                    vcd_out=str(out),
+                )
             except FileNotFoundError as exc:
-                raise SimulatorNotFound(f"simulator command not found: {args[0]!r}") from exc
-            except subprocess.TimeoutExpired as exc:
-                returncode, timed_out, stderr = None, True, exc.stderr
-                continue
-            returncode, timed_out, stderr = proc.returncode, False, proc.stderr
-            if proc.returncode == 0 and out.exists():
-                ok = True
+                raise SimulatorNotFound(f"simulator command not found: {exc.filename!r}") from exc
+            timed_out = returncode is None
+            if returncode == 0 and out.exists():
                 break
-        if not ok:
+        else:
             return result("failed")
         vcd_paths.append(str(out))
     return result("done")
@@ -226,8 +216,6 @@ def dispatch(jobs: Sequence[ScenarioJob], cfg: PipelineConfig) -> list[JobResult
     else:
         with ThreadPoolExecutor(max_workers=cfg.worker_count) as pool:
             results = list(pool.map(lambda j: _run_one_job(j, cfg), jobs))
-    for job, result in zip(jobs, results):
-        job.status = "done" if result.status == "done" else "failed"
     return sorted(results, key=lambda r: r.scenario_id)
 
 

@@ -586,8 +586,9 @@ def _skip_statement(cur: _Cursor):
     cur.skip_to(";")
 
 
-def _scan_case_in_generate(cur: _Cursor, scan: _ModuleScan, file: str):
-    # generate-level case: skip header, then scan items' blocks transparently
+def _scan_case_in_generate(cur: _Cursor, file: str):
+    # generate-level case: skip the header, then every item through the
+    # matching endcase; nothing inside it is scanned
     cur.advance()  # case keyword
     cur.skip_balanced()  # (expr)
     depth = 1
@@ -595,15 +596,11 @@ def _scan_case_in_generate(cur: _Cursor, scan: _ModuleScan, file: str):
         tok = cur.peek()
         if tok is None:
             raise ParseError(file, cur.last_line(), "endcase")
-        if tok.text == "endcase":
-            cur.advance()
-            depth -= 1
-            continue
-        if tok.text in ("case", "casex", "casez"):
-            cur.advance()
-            depth += 1
-            continue
         cur.advance()
+        if tok.text == "endcase":
+            depth -= 1
+        elif tok.text in ("case", "casex", "casez"):
+            depth += 1
 
 
 def _scan_instance(cur: _Cursor, scan: _ModuleScan):
@@ -674,13 +671,6 @@ def _scan_module_body(cur: _Cursor, scan: _ModuleScan, terminator: str):
             continue
         if text in PROCEDURAL:
             cur.advance()
-            if cur.peek_text() in ("@", "@*"):
-                at = cur.advance()
-                if at.text == "@":
-                    if cur.peek_text() == "(":
-                        cur.skip_balanced()
-                    else:
-                        cur.advance()
             _skip_statement(cur)
             continue
         if text == "function":
@@ -705,7 +695,7 @@ def _scan_module_body(cur: _Cursor, scan: _ModuleScan, terminator: str):
             cur.advance()
             continue
         if text in ("case", "casex", "casez"):
-            _scan_case_in_generate(cur, scan, file)
+            _scan_case_in_generate(cur, file)
             continue
         if text == "begin":
             cur.advance()

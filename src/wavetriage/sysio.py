@@ -1,0 +1,47 @@
+"""Running a command template and replacing a file atomically: the two
+contracts with the outside world besides reading files, each with one
+owner here. Standard library only."""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import shlex
+import shutil
+import subprocess
+from pathlib import Path
+
+
+def run_template(template: str, timeout: float, **values) -> tuple[int | None, bytes]:
+    """``(returncode, stderr)`` of a command template, split like a shell
+    command line and then filled part by part with ``str.format(**values)``.
+
+    ``returncode`` is None after ``timeout`` seconds, and ``stderr`` then
+    holds what the command wrote so far. A missing program raises
+    ``FileNotFoundError`` with the program as its ``filename``.
+    """
+    args = [part.format(**values) for part in shlex.split(template)]
+    try:
+        proc = subprocess.run(args, capture_output=True, timeout=timeout)
+    except subprocess.TimeoutExpired as exc:
+        return None, exc.stderr or b""
+    return proc.returncode, proc.stderr
+
+
+def replace_file(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` through a temporary file in the same
+    directory and ``os.replace``, so a reader never sees a partial write; a
+    failure removes the temporary file. The result has the mode a plain
+    ``open`` gives: the old file's, or ``0o666`` less the umask."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as handle:
+            handle.write(data)
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -397,7 +397,21 @@ def _validate_value(value: str, width: int) -> str | None:
     return None
 
 
-def _header_text(tree: ScopeTree) -> str:
+def change_line(value: str, id_code: str, width: int) -> str:
+    """The body line that sets the signal ``id_code`` of ``width`` bits to
+    ``value``; raises :class:`MalformedChange` for a value that the parser
+    would reject."""
+    problem = _validate_value(value, width)
+    if problem:
+        raise MalformedChange(problem)
+    if value.startswith("r"):
+        return f"{value} {id_code}\n"
+    if len(value) == 1 and width == 1:
+        return f"{value}{id_code}\n"
+    return f"b{value} {id_code}\n"
+
+
+def header_text(tree: ScopeTree) -> str:
     """The declaration section of ``tree``, ``$timescale`` through
     ``$enddefinitions $end``, one directive per line."""
     lines = [f"$timescale {tree.timescale} $end\n"]
@@ -433,7 +447,7 @@ def write_vcd(
     def emit(text: str):
         sink.write(text.encode("latin-1"))
 
-    emit(_header_text(tree))
+    emit(header_text(tree))
 
     widths = tree.id_widths()
     last_time: int | None = None
@@ -444,18 +458,11 @@ def write_vcd(
             raise TimeRegression(f"time {change.time} outside 64-bit tick range")
         if last_time is not None and change.time < last_time:
             raise TimeRegression(f"time went backwards: {last_time} -> {change.time}")
-        problem = _validate_value(change.value, widths[change.id_code])
-        if problem:
-            raise MalformedChange(problem)
+        line = change_line(change.value, change.id_code, widths[change.id_code])
         if change.time != last_time:
             emit(f"#{change.time}\n")
             last_time = change.time
-        if change.value.startswith("r"):
-            emit(f"{change.value} {change.id_code}\n")
-        elif len(change.value) == 1 and widths[change.id_code] == 1:
-            emit(f"{change.value}{change.id_code}\n")
-        else:
-            emit(f"b{change.value} {change.id_code}\n")
+        emit(line)
 
     if out is None:
         return sink.getvalue()

@@ -52,7 +52,8 @@ def test_scan_and_error_paths(corpus, tmp_path):
     assert run("scan", "--sources", str(bad), "--json", str(tmp_path / "x.json")) == 2
 
 
-def test_extract_rejects_a_backward_timestamp(corpus, tmp_path, capsys):
+def _selected_fixture_waveform(corpus, tmp_path):
+    """A fixture waveform and the selection report ``select`` writes for it."""
     tau = tmp_path / "tau.json"
     sources = sorted(str(p) for p in corpus.root.glob("*.sv"))
     assert run("scan", "--sources", *sources, "--json", str(tau)) == 0
@@ -63,6 +64,11 @@ def test_extract_rejects_a_backward_timestamp(corpus, tmp_path, capsys):
         "select", "--vcd", str(wave), "--tau", str(tau), "--targets", ",".join(corpus.modules),
         "--top-module", "soc_top", "--dut-root", "tb.dut", "--json", str(sel),
     ) == 0
+    return wave, sel
+
+
+def test_extract_rejects_a_backward_timestamp(corpus, tmp_path, capsys):
+    wave, sel = _selected_fixture_waveform(corpus, tmp_path)
     header = wave.read_text(encoding="latin-1").split("$enddefinitions $end\n", 1)[0]
     wave.write_text(header + "$enddefinitions $end\n#0\n0!\n#5\n1!\n#2\n0!\n#6\n1!\n", encoding="latin-1")
     rough = tmp_path / "rough.csv"
@@ -75,6 +81,27 @@ def test_extract_rejects_a_backward_timestamp(corpus, tmp_path, capsys):
     assert code == 2
     assert str(wave) in err and "back-0" in err and "5 -> 2" in err
     assert not rough.exists()
+
+
+def test_extract_rejects_a_selection_the_waveform_does_not_declare(corpus, tmp_path, capsys):
+    wave, sel = _selected_fixture_waveform(corpus, tmp_path)
+    renamed = tmp_path / "renamed.vcd"
+    text = wave.read_text(encoding="latin-1")
+    renamed.write_text(text.replace("$scope module dut $end", "$scope module dux $end", 1), encoding="latin-1")
+    first = json.loads(sel.read_text())["selected"][0][:3]
+    rough = tmp_path / "rough.csv"
+    capsys.readouterr()
+    code = run(
+        "extract", "--vcd", str(renamed), "--selection", str(sel), "--label", corpus.modules[0],
+        "--scenario-id", "dux-0", "--tick-cap", "50", "--rough-csv", str(rough),
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {renamed} (scenario dux-0): selected signal {tuple(first)!r} ")
+    assert not rough.exists()
+    assert run("select", "--vcd", str(renamed), "--tau", str(tmp_path / "tau.json"),
+               "--targets", ",".join(corpus.modules), "--top-module", "soc_top",
+               "--dut-root", "tb.dut", "--json", str(tmp_path / "sel2.json")) == 2
 
 
 def test_select_extract_compress_train_eval_chain(corpus, tmp_path):

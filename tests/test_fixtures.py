@@ -398,44 +398,10 @@ def test_vcd_malformed_value_raises_like_write_vcd(design, monkeypatch):
     assert str(raised.value) == str(reference.value)
 
 
-def test_atomic_write_gets_plain_open_mode(tmp_path):
-    old = os.umask(0o002)
-    try:
-        fixtures._write_atomic(tmp_path / "f.bin", b"data")
-        with open(tmp_path / "plain.bin", "wb") as handle:
-            handle.write(b"data")
-    finally:
-        os.umask(old)
-    assert (tmp_path / "f.bin").read_bytes() == b"data"
-    mode = (tmp_path / "f.bin").stat().st_mode & 0o777
-    assert mode == (tmp_path / "plain.bin").stat().st_mode & 0o777 == 0o664
-
-
-class _FailingHandle(io.BytesIO):
-    """Stands in for the temporary file: keeps half the bytes, then fails
-    like a full disk."""
-
-    def write(self, data):
-        super().write(data[: len(data) // 2])
-        raise OSError(28, "No space left on device")
-
-
-def _fail_midway(monkeypatch):
-    real_open = open
-
-    def fake_open(file, mode="r", *args, **kwargs):
-        if isinstance(file, int):
-            os.close(file)
-            return _FailingHandle()
-        return real_open(file, mode, *args, **kwargs)
-
-    monkeypatch.setattr(fixtures, "open", fake_open, raising=False)
-
-
-def test_vcd_failed_write_leaves_old_file_or_none(design, tmp_path, monkeypatch):
+def test_vcd_failed_write_leaves_old_file_or_none(design, tmp_path, fail_replace_midway):
     kept = tmp_path / "kept.vcd"
     kept.write_bytes(b"old")
-    _fail_midway(monkeypatch)
+    fail_replace_midway()
     for path in (kept, tmp_path / "new.vcd"):
         with pytest.raises(OSError, match="No space"):
             gen_failing_vcd(design, design.modules[0], ticks=60, seed=1, out_path=path)
@@ -443,19 +409,19 @@ def test_vcd_failed_write_leaves_old_file_or_none(design, tmp_path, monkeypatch)
     assert [p.name for p in tmp_path.iterdir()] == ["kept.vcd"]
 
 
-def test_manifest_failed_write_leaves_old_manifest(tmp_path, monkeypatch):
+def test_manifest_failed_write_leaves_old_manifest(tmp_path, monkeypatch, fail_replace_midway):
     design = gen_design(tmp_path / "d", n_modules=3, seed=4)
     scenarios = build_scenarios(design, train_per_module=1, test_per_module=0, seed=4)
     manifest = materialize_corpus(design, scenarios, ticks=60)
     before = manifest.read_bytes()
-    real_write = fixtures._write_atomic
+    real_write = fixtures.replace_file
 
     def fail_manifest(path, data):
         if path.name == "manifest.json":
-            _fail_midway(monkeypatch)
+            fail_replace_midway()
         real_write(path, data)
 
-    monkeypatch.setattr(fixtures, "_write_atomic", fail_manifest)
+    monkeypatch.setattr(fixtures, "replace_file", fail_manifest)
     with pytest.raises(OSError, match="No space"):
         materialize_corpus(design, build_scenarios(design, 2, 0, seed=5), ticks=60)
     assert manifest.read_bytes() == before

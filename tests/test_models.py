@@ -160,6 +160,21 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(clone.predict_proba(ds.matrix), model.predict_proba(ds.matrix))
 
 
+def test_failed_save_keeps_the_previous_model_file(tmp_path, fail_replace_midway):
+    ds = blobs()
+    model = fit("random_forest", ds, RFParams(n_trees=5), seed=1)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    before = path.read_bytes()
+    fail_replace_midway()
+    with pytest.raises(OSError, match="No space"):
+        save_model(fit("gbt", ds, FAST_PARAMS["gbt"], seed=2), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+    clone = load_model(path)
+    assert clone.predict_proba(ds.matrix).tobytes() == model.predict_proba(ds.matrix).tobytes()
+
+
 # Params fields that model files written before GBT trees grew only level-wise
 # and the random forest sampled only one way still carry, at their defaults.
 DROPPED_PARAMS_FIELDS = {

@@ -159,7 +159,7 @@ class TestApplyRevert:
     def test_write_failing_mid_way_leaves_original_bytes(self, tmp_path, monkeypatch):
         import builtins
 
-        from wavetriage import mutate
+        from wavetriage import sysio
 
         class HalfWrite:
             """A file handle whose write stops half-way with a full disk."""
@@ -184,7 +184,7 @@ class TestApplyRevert:
         design = self.write_design(tmp_path)
         spec = plan_for("missing_assignment", 1)
         monkeypatch.setattr(
-            mutate, "open", lambda *a, **kw: HalfWrite(builtins.open(*a, **kw)), raising=False
+            sysio, "open", lambda *a, **kw: HalfWrite(builtins.open(*a, **kw)), raising=False
         )
         with pytest.raises(OSError):
             apply(spec, design)

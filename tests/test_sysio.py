@@ -1,0 +1,79 @@
+import os
+import shlex
+import sys
+from pathlib import Path
+
+import pytest
+
+from wavetriage import sysio
+from wavetriage.sysio import replace_file, run_template
+
+PY = shlex.quote(sys.executable)
+SRC = Path(sysio.__file__).parent
+
+
+def test_placeholders_fill_each_argument_after_the_split():
+    code = "import sys; sys.stderr.write(repr(sys.argv[1:])); sys.exit(3)"
+    rc, err = run_template(f'{PY} -c "{code}" {{a}} x{{b}}y {{a}}', 30, a="two words", b=" 'q' $HOME")
+    assert rc == 3
+    assert err == repr(["two words", "x 'q' $HOMEy", "two words"]).encode()
+
+
+def test_timeout_returns_none_and_stderr_so_far():
+    code = "import sys, time; sys.stderr.write('started'); sys.stderr.flush(); time.sleep(60)"
+    assert run_template(f'{PY} -c "{code}"', 3) == (None, b"started")
+    assert run_template(PY + ' -c "import time; time.sleep(60)"', 0.5) == (None, b"")
+
+
+def test_missing_program_raises_with_its_name(tmp_path):
+    missing = str(tmp_path / "no-such-program")
+    with pytest.raises(FileNotFoundError) as info:
+        run_template("{prog} --flag", 30, prog=missing)
+    assert info.value.filename == missing
+
+
+@pytest.mark.parametrize("old_mode", [None, 0o640], ids=["new-file", "existing-file"])
+def test_replace_file_gets_plain_open_mode(tmp_path, old_mode):
+    if old_mode is not None:
+        for name in ("atomic", "plain"):
+            (tmp_path / name).write_bytes(b"old")
+            (tmp_path / name).chmod(old_mode)
+    umask = os.umask(0o002)
+    try:
+        replace_file(tmp_path / "atomic", b"data")
+        with open(tmp_path / "plain", "wb") as handle:
+            handle.write(b"data")
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "atomic").read_bytes() == b"data"
+    modes = {(tmp_path / name).stat().st_mode & 0o777 for name in ("atomic", "plain")}
+    assert modes == {old_mode or 0o664}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic", "plain"]
+
+
+@pytest.mark.parametrize("old", [None, b"old"], ids=["new-file", "existing-file"])
+def test_replace_file_failing_half_way_leaves_old_file_or_none(tmp_path, fail_replace_midway, old):
+    path = tmp_path / "f.bin"
+    if old is not None:
+        path.write_bytes(old)
+    fail_replace_midway()
+    with pytest.raises(OSError, match="No space"):
+        replace_file(path, b"new data")
+    assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["f.bin"])
+    if old is not None:
+        assert path.read_bytes() == old
+
+
+def test_replace_file_onto_a_directory_removes_the_temporary(tmp_path):
+    (tmp_path / "d").mkdir()
+    with pytest.raises(IsADirectoryError):
+        replace_file(tmp_path / "d", b"data")
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+
+def test_sysio_is_the_one_owner():
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        found = [word for word in ("subprocess.run", "os.replace", "tempfile") if word in text]
+        assert path.name == "sysio.py" or not found, (path.name, found)
+    assert "vcd._" not in (SRC / "fixtures.py").read_text(encoding="utf-8")
