@@ -572,7 +572,8 @@ def run_scenario(
     Nonzero compile exit rejects for syntax; a fully passing test run
     rejects as ineffective; otherwise the scenario is accepted and its
     patches stay applied for the simulation stage. Timeouts count as
-    ineffective. Every rejection reverts byte-exactly.
+    ineffective. Every rejection reverts byte-exactly, and so does an error
+    raised by a check command.
     """
     if not specs:
         raise MutateError("empty mutation list")
@@ -619,7 +620,7 @@ def run_scenario(
                 _log_failure(failure_log_path, scenario_id, specs, "no waveform")
                 revert_all(records, design_dir)
                 return scenario
-    except CommandNotFound:
+    except BaseException:  # a missing or empty check command, or an interrupt
         revert_all(records, design_dir)
         raise
 

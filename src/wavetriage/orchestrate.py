@@ -204,6 +204,8 @@ def dispatch(jobs: Sequence[ScenarioJob], cfg: PipelineConfig) -> list[JobResult
     threads give full process-level parallelism); failed runs retry up to
     the configured limit. Results come back ordered by scenario id, making
     the outcome independent of scheduling."""
+    if not cfg.simulator.strip():
+        raise ValueError("config key 'simulator' is empty: no simulator command to run")
     seen: set[str] = set()
     for job in jobs:
         key = str(job.scratch_dir)

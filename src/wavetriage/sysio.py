@@ -18,9 +18,12 @@ def run_template(template: str, timeout: float, **values) -> tuple[int | None, b
 
     ``returncode`` is None after ``timeout`` seconds, and ``stderr`` then
     holds what the command wrote so far. A missing program raises
-    ``FileNotFoundError`` with the program as its ``filename``.
+    ``FileNotFoundError`` with the program as its ``filename``, and a
+    template that names no program raises ``ValueError``.
     """
     args = [part.format(**values) for part in shlex.split(template)]
+    if not args or not args[0]:
+        raise ValueError(f"command template {template!r} names no program")
     try:
         proc = subprocess.run(args, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired as exc:

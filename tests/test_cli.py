@@ -256,6 +256,18 @@ def test_inject_empty_list_is_exit_2_before_any_edit(tmp_path, capsys, key):
     assert not (tmp_path / "cache.jsonl").exists()
 
 
+def test_inject_empty_check_command_is_exit_2_and_reverts(tmp_path, capsys):
+    design, cfg_path = write_prefix_design(tmp_path, ["core"])
+    config = json.loads(cfg_path.read_text())
+    config["check"]["compile"] = ""
+    cfg_path.write_text(json.dumps(config))
+    assert run("inject", "--config", str(cfg_path), "--count", "1", "--keep-applied") == 2
+    assert "names no program" in capsys.readouterr().err
+    assert (design / "a_top.sv").read_text() == CORE_WRAP_SV
+    assert (design / "core.sv").read_text() == CORE_SV
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
 def test_inject_finds_the_package_without_pythonpath(tmp_path, monkeypatch):
     # the check commands run as child processes that inherit this environment
     monkeypatch.delenv("PYTHONPATH", raising=False)
@@ -501,6 +513,16 @@ def test_pipeline_names_the_first_failed_job(corpus, tmp_path, capsys):
     first = f"train-{sorted(corpus.modules)[0]}-0000"
     assert f"{len(corpus.modules)} job(s) failed after retries; first: {first} (exit code 7)" in err
     assert "license server down" in err
+
+
+def test_pipeline_without_a_simulator_is_exit_2_before_any_job(corpus, tmp_path, capsys):
+    cfg_path = pipeline_config(corpus, tmp_path / "run")
+    config = json.loads(cfg_path.read_text())
+    del config["simulator"]
+    cfg_path.write_text(json.dumps(config))
+    assert run("pipeline", "--config", str(cfg_path)) == 2
+    assert "config key 'simulator' is empty" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "scratch").exists()
 
 
 def test_pipeline_non_finite_real_is_exit_2(corpus, tmp_path, capsys):

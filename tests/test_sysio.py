@@ -32,6 +32,12 @@ def test_missing_program_raises_with_its_name(tmp_path):
     assert info.value.filename == missing
 
 
+@pytest.mark.parametrize("template", ["", "  ", "{prog} --flag", "'' --flag"])
+def test_template_that_names_no_program_is_a_value_error(template):
+    with pytest.raises(ValueError, match="names no program"):
+        run_template(template, 30, prog="")
+
+
 @pytest.mark.parametrize("old_mode", [None, 0o640], ids=["new-file", "existing-file"])
 def test_replace_file_gets_plain_open_mode(tmp_path, old_mode):
     if old_mode is not None:

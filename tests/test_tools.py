@@ -1,16 +1,27 @@
 """The statistics of ``tools/bench_pairs.py``: seed lists, quartiles, and the
-per-metric summary that decides whether a benchmark shows a gain. No
-benchmark runs here."""
+per-metric summary that decides whether a benchmark shows a gain; and the
+line comparison of ``tools/output_hashes.py --check``. No benchmark or
+pipeline runs here."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # output_hashes imports bench_pairs by name
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load("bench_pairs")
+output_hashes = _load("output_hashes")
 
 DIRECTIONS = {"wall_s": "lower", "waveforms_per_s": "higher"}
 BOUNDS = {"wall_s": 0.25, "waveforms_per_s": 0.25}
@@ -94,3 +105,15 @@ def test_a_pair_without_a_result_on_one_side_is_skipped():
     assert out["wall_s"]["parent"] == bench_pairs.spread(PARENT[:4] + PARENT[5:])
     assert "waveforms_per_s" not in out  # no pair reports it
     assert bench_pairs.failures(pairs, "change")["runs_not_passed"] == 1
+
+
+def test_output_hash_listings_compare_by_output_name():
+    ref = ["aa  train.csv", "bb  metrics.json", "cc  model_gbt.bin"]
+    assert output_hashes.differing_lines(ref, list(ref)) == []
+    mine = ["aa  train.csv", "bx  metrics.json", "dd  model_knn.bin"]
+    assert output_hashes.differing_lines(ref, mine) == [
+        "ref : bb  metrics.json",
+        "this: bx  metrics.json",
+        "ref : cc  model_gbt.bin",
+        "this: dd  model_knn.bin",
+    ]

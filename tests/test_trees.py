@@ -1,20 +1,22 @@
-"""Tree growth against references. GBT: the data-sized histogram layout and
-its in-place gain kernel must grow exactly the trees of the fixed-stride
-layout they replaced, the growth loop exactly the trees of the breadth-first
-reference; the fit must cope with data where no feature can split, and must
-not fault in fresh histogram-sized pages at every node. Random forest: the
-batched split search of a node must grow exactly the trees of the
-per-feature loop it replaced."""
+"""Tree growth against references. GBT: the data-sized histogram layout,
+the packing of a small node's occupied bins and the in-place gain kernel
+must grow exactly the trees of the fixed-stride layout they replaced, the
+growth loop exactly the trees of the breadth-first reference; the fit must
+cope with data where no feature can split, and must not fault in fresh
+histogram-sized pages at every node. Random forest: the batched split
+search of a node must grow exactly the trees of the per-feature loop it
+replaced."""
 
 import resource
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 
+from wavetriage import trees
 from wavetriage.extract import Dataset
 from wavetriage.models import fit
-from wavetriage.ranking import RANKING_PARAMS
+from wavetriage.ranking import RANKING_PARAMS, reduce_signals
 from wavetriage.trees import (
     GBTParams,
     GradientBoostedTrees,
@@ -22,6 +24,7 @@ from wavetriage.trees import (
     RFParams,
     _BinMapper,
     _Candidate,
+    _SplitWorkspace,
     _TreeBuilder,
     _softmax,
 )
@@ -182,12 +185,49 @@ def uneven_cuts_matrix(seed, n_rows, n_classes):
     return np.column_stack(cols).astype(float), y
 
 
+def pipeline_matrix(seed, n_rows, n_classes):
+    """The shape of a pipeline training table: 288 columns, two thirds of
+    them constant, the rest sparse few-valued or continuous, and the
+    continuous ones shifted by the label."""
+    rng = np.random.default_rng(seed)
+    y = np.arange(n_rows) % n_classes
+    rng.shuffle(y)
+    X = np.empty((n_rows, 288))
+    for f, kind in enumerate(rng.integers(0, 6, 288)):
+        if kind == 4:
+            X[:, f] = np.where(rng.random(n_rows) < 0.8, 0.0, rng.integers(1, 5, n_rows))
+        elif kind == 5:
+            X[:, f] = rng.normal(size=n_rows) + (y == f % n_classes)
+        else:
+            X[:, f] = float(kind)
+    return X, y
+
+
+def deep_dense_matrix(seed, n_rows, n_classes):
+    """47 all-distinct Gaussian columns with quantile cuts and one constant
+    column: deep nodes hold far fewer rows than a column has bins."""
+    X, y = dense_matrix(seed, n_rows, n_classes, n_cols=48)
+    X[:, -1] = 0.0
+    return X, y
+
+
 CASES = {
     "dense-ranking": (dense_matrix, 150, 5, RANKING_PARAMS),
     "uneven-cuts-level": (uneven_cuts_matrix, 240, 3, GBTParams(n_rounds=6, max_depth=4)),
     "mixed-level": (mixed_matrix, 90, 3, GBTParams(n_rounds=6, max_depth=4)),
     "quantile-cuts": (wide_column_matrix, 320, 2, GBTParams(n_rounds=4, max_depth=3)),
     "max-bins-16-level": (wide_column_matrix, 200, 3, GBTParams(n_rounds=5, max_bins=16)),
+    "pipeline-shaped": (pipeline_matrix, 24, 3, GBTParams()),
+    "deep-dense": (deep_dense_matrix, 600, 3, GBTParams(n_rounds=3, max_depth=6)),
+    # Without a minimum child weight, a cell whose side holds no row can
+    # still be the first maximum, and the search runs again over the cells
+    # that split the node: with and without packed bins.
+    "deep-dense-no-child-weight": (
+        deep_dense_matrix, 600, 3, GBTParams(n_rounds=3, max_depth=6, min_child_weight=0.0)
+    ),
+    "mixed-no-child-weight": (
+        mixed_matrix, 90, 3, GBTParams(n_rounds=4, max_depth=4, min_child_weight=0.0)
+    ),
 }
 
 
@@ -259,6 +299,38 @@ def test_edge_case_shapes():
     assert tree_sizes("three-rows-level")[0] == (5, 3)
 
 
+class CountingWorkspace(_SplitWorkspace):
+    """Counts the nodes that pack their bins and the searches run again over
+    the cells that split a node, packed or not."""
+
+    calls = Counter()
+
+    def pack(self, sub, stride):
+        self.calls["pack"] += 1
+        return super().pack(sub, stride)
+
+    def splits(self, sub, width, last):
+        self.calls["splits, packed" if last is not None else "splits"] += 1
+        return super().splits(sub, width, last)
+
+
+@pytest.mark.parametrize(
+    ("case", "paths"),
+    [
+        ("pipeline-shaped", set()),
+        ("deep-dense", {"pack"}),
+        ("deep-dense-no-child-weight", {"pack", "splits, packed"}),
+        ("mixed-no-child-weight", {"splits"}),
+    ],
+)
+def test_cases_reach_each_split_search_path(case, paths, monkeypatch):
+    monkeypatch.setattr(trees, "_SplitWorkspace", CountingWorkspace)
+    monkeypatch.setattr(CountingWorkspace, "calls", Counter())
+    make, n_rows, n_classes, params = CASES[case]
+    GradientBoostedTrees(n_classes, params, seed=0).fit(*make(7, n_rows, n_classes))
+    assert set(CountingWorkspace.calls) == paths
+
+
 def test_case_shapes():
     X, _ = dense_matrix(7, 150, 5)
     assert X.shape == (150, 160)
@@ -266,6 +338,12 @@ def test_case_shapes():
     X, _ = uneven_cuts_matrix(7, 240, 3)
     n_cuts = sorted(cuts.size for cuts in _BinMapper(256).fit(X).cuts)
     assert n_cuts[0] == 0 and n_cuts[-1] > 200 and n_cuts[-2] < 50
+    X, _ = pipeline_matrix(7, 24, 3)
+    n_cuts = np.array([cuts.size for cuts in _BinMapper(256).fit(X).cuts])
+    assert X.shape == (24, 288) and 0.5 < np.mean(n_cuts == 0) < 0.8 and n_cuts.max() == 23
+    X, _ = deep_dense_matrix(7, 600, 3)
+    n_cuts = sorted(cuts.size for cuts in _BinMapper(256).fit(X).cuts)
+    assert n_cuts[0] == 0 and n_cuts[1] == 255
 
 
 @pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread rusage")
@@ -279,6 +357,30 @@ def test_dense_fit_does_not_fault_per_node():
     GradientBoostedTrees(5, RANKING_PARAMS, seed=0).fit(X, y)
     faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
     assert faults < 20_000
+
+
+@pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread rusage")
+def test_reduction_round_does_not_fault_per_node():
+    """One signal reduction on a 150 x 160 table fits four ranking models of
+    shrinking width, with other allocations in between. The workspace sits
+    above the root's temporaries, which are the largest of a fit, so the
+    round takes under a thousand minor faults; allocated at the start of
+    each fit instead, it took about 26k."""
+    X, y = dense_matrix(3, 150, 5)
+    signals = [f"m{k % 4}_s{k:03d}" for k in range(X.shape[1])]
+    table = Dataset(
+        feature_names=[f"{s}__mean" for s in signals],
+        matrix=X,
+        labels=[f"m{label % 4}" for label in y],
+        scenario_ids=[f"sc{i}" for i in range(len(y))],
+    )
+    coverage = {s: s.split("_")[0] for s in signals}
+    reduce_signals(table, coverage, max_signals=30, seed=0)  # warm the allocator
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    _, history = reduce_signals(table, coverage, max_signals=30, seed=0)
+    faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+    assert len(history) == 4
+    assert faults < 20_000, faults
 
 
 def test_quantile_case_has_more_values_than_bins():

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """SHA-256 of every output of one seeded ``wavetriage pipeline`` run.
 
-    python3 tools/output_hashes.py [--ref REF]
+    python3 tools/output_hashes.py [--ref REF | --check REF]
 
 Generates a fixture corpus from seed ``SEED`` (design, scenarios and their
 waveforms), runs ``wavetriage pipeline`` in-process over it with signal
@@ -30,8 +30,10 @@ files.
 is imported from the files of that commit instead, exported with
 ``git archive REF | tar -x`` into a temporary directory as
 ``tools/bench_pairs.py`` exports the parent, so the checkout is never
-touched. Everything the run writes goes under a temporary directory. Only
-the standard library is used.
+touched. With ``--check REF`` it hashes both this checkout and REF, each in
+a fresh interpreter, prints every line on which they differ and exits 1 if
+there is one, 0 if all lines are the same. Everything the run writes goes
+under a temporary directory. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -139,10 +142,46 @@ def corpus_hash(design_dir: Path) -> str:
     return digest.hexdigest()
 
 
+def differing_lines(ref: list[str], mine: list[str]) -> list[str]:
+    """The lines of two hash listings that differ, matched by output name:
+    ``ref : <line>`` and ``this: <line>`` for each name whose digest
+    differs, and one such line alone for a name only one listing has."""
+    def by_name(lines):
+        return {line.split("  ", 1)[1]: line for line in lines}
+
+    ref_lines, my_lines = by_name(ref), by_name(mine)
+    out = []
+    for name in dict.fromkeys([*ref_lines, *my_lines]):
+        if ref_lines.get(name) != my_lines.get(name):
+            if name in ref_lines:
+                out.append(f"ref : {ref_lines[name]}")
+            if name in my_lines:
+                out.append(f"this: {my_lines[name]}")
+    return out
+
+
+def hash_listing(ref: str | None) -> list[str]:
+    """This script's lines for ``ref`` (or this checkout), from a fresh
+    interpreter, since one process imports only one ``wavetriage``."""
+    cmd = [sys.executable, __file__, *(["--ref", ref] if ref else [])]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout.splitlines()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--ref", help="hash the outputs of this commit, not of this checkout")
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument("--ref", help="hash the outputs of this commit, not of this checkout")
+    which.add_argument("--check", metavar="REF", help="compare this checkout's lines with REF's")
     args = parser.parse_args(argv)
+
+    if args.check:
+        ref, mine = hash_listing(args.check), hash_listing(None)
+        differ = differing_lines(ref, mine)
+        print("\n".join(differ) if differ else f"all {len(mine)} lines the same as {args.check}")
+        return 1 if differ else 0
 
     with tempfile.TemporaryDirectory(prefix="output_hashes_") as tmp:
         tmp = Path(tmp)
