@@ -9,6 +9,7 @@ waveform length.
 
 import io
 import sys
+from collections import Counter
 
 from wavetriage.extract import (
     StatSet,
@@ -57,5 +58,5 @@ second = summarize(
     stats,
 )
 dataset = assemble([row, second])
-print(f"\nassembled dataset: {dataset.class_counts}")
+print(f"\nassembled dataset: {dict(Counter(dataset.labels))}")
 write_dataset_csv(dataset, sys.stdout)

@@ -19,6 +19,7 @@ _SUBMODULES = (
     "metrics",
     "mutate",
     "orchestrate",
+    "sysio",
     "fixtures",
     "cli",
 )

@@ -10,6 +10,7 @@ primary output recording inputs, hashes and settings.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -18,6 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .sysio import rendered, replace_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,12 +50,6 @@ def _env_override(name: str, flag_value, config_value=None, default=None, cast=s
     return default
 
 
-def _require_entries(count: int, key: str, entries) -> None:
-    """``count`` > 0 scenarios need at least one entry under config ``key``."""
-    if count > 0 and not entries:
-        raise ValueError(f"config key {key!r} is empty but {count} scenario(s) were requested")
-
-
 def _sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -72,7 +68,7 @@ def _write_manifest(primary_output, command: str, settings: dict, inputs, output
         "outputs": [str(p) for p in outputs],
     }
     path = Path(str(primary_output) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    replace_text(path, json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _data_errors():
@@ -85,11 +81,13 @@ def _data_errors():
         extract.ExtractError,
         models.ModelError,
         metrics.EmptyTest,
+        metrics.MetricsError,
         ranking.CoverageGap,
         mutate.MutateError,
         orchestrate.NoFailingWaveforms,
         orchestrate.ScratchCollision,
         ValueError,
+        FileNotFoundError,
     )
 
 
@@ -107,7 +105,7 @@ def cmd_scan(args) -> int:
 
     table = scan_sources(DesignSources.from_paths(args.sources))
     out = Path(args.json)
-    out.write_text(table.to_json())
+    replace_text(out, table.to_json())
     _write_manifest(out, "scan", {"sources": args.sources}, args.sources, [out])
     print(f"scanned {len(args.sources)} file(s): {len(table.entries)} modules -> {out}")
     return EXIT_OK
@@ -130,7 +128,7 @@ def cmd_select(args) -> int:
         dut_root=args.dut_root,
     )
     out = Path(args.json)
-    out.write_text(report.to_json())
+    replace_text(out, report.to_json())
     _write_manifest(
         out,
         "select",
@@ -163,10 +161,10 @@ def cmd_extract(args) -> int:
 
     window = read_window(args.vcd, select, tick_cap, args.label, args.scenario_id)
     out = Path(args.rough_csv)
-    with open(out, "w", encoding="utf-8") as handle:
-        write_rough_csv(window, handle)
+    replace_text(out, rendered(write_rough_csv, window))
     sidecar = Path(str(out) + ".meta.json")
-    sidecar.write_text(
+    replace_text(
+        sidecar,
         json.dumps(
             {
                 "label": args.label,
@@ -174,7 +172,7 @@ def cmd_extract(args) -> int:
                 "tick_cap": tick_cap,
                 "available_ticks": window.available_ticks,
             }
-        )
+        ),
     )
     _write_manifest(
         out,
@@ -188,11 +186,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    import csv
-
-    import numpy as np
-
-    from .extract import DEFAULT_STATS, StatSet, WaveWindow, assemble, summarize, write_dataset_csv
+    from .extract import DEFAULT_STATS, StatSet, assemble, read_rough_csv, summarize, write_dataset_csv
 
     stats = StatSet.parse(
         _env_override("stats", args.stats, default=",".join(DEFAULT_STATS.names))
@@ -204,24 +198,11 @@ def cmd_compress(args) -> int:
             raise ValueError(f"missing sidecar {meta_path} (produced by `extract`)")
         meta = json.loads(meta_path.read_text())
         with open(rough_path, "r", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader)
-            ticks, values = [], []
-            for record in reader:
-                ticks.append(int(record[0]))
-                values.append([float(v) for v in record[1:]])
-        window = WaveWindow(
-            matrix=np.asarray(values),
-            tick_times=np.asarray(ticks),
-            signals=header[1:],
-            label=meta["label"],
-            scenario_id=meta["scenario_id"],
-        )
+            window = read_rough_csv(handle, meta["label"], meta["scenario_id"])
         rows.append(summarize(window, stats))
     dataset = assemble(rows)
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as handle:
-        write_dataset_csv(dataset, handle)
+    replace_text(out, rendered(write_dataset_csv, dataset))
     _write_manifest(out, "compress", {"stats": list(stats.names)}, args.rough_csv, [out])
     print(f"compressed {len(rows)} waveform(s) x {len(dataset.feature_names)} features -> {out}")
     return EXIT_OK
@@ -231,14 +212,13 @@ def cmd_train(args) -> int:
     from .extract import read_dataset_csv
     from .models import fit, save_model
     from .ranking import DEFAULT_KEEP_FRACTION, DEFAULT_MAX_SIGNALS, reduce_signals
+    from .selection import SelectionReport
 
     seed = _env_override("seed", args.seed, default=0, cast=int)
     with open(args.train, "r", encoding="utf-8") as handle:
         train = read_dataset_csv(handle)
     settings = {"kind": args.kind, "seed": seed}
     if args.selection:
-        from .selection import SelectionReport
-
         report = SelectionReport.from_json(Path(args.selection).read_text())
         coverage = {name: owner for name, _, _, owner in report.selected}
         keep_fraction = _env_override(
@@ -251,11 +231,7 @@ def cmd_train(args) -> int:
             train, coverage, keep_fraction=keep_fraction, max_signals=max_signals, seed=seed
         )
         settings.update(
-            {
-                "keep_fraction": keep_fraction,
-                "max_signals": max_signals,
-                "reduce_iterations": len(history),
-            }
+            keep_fraction=keep_fraction, max_signals=max_signals, reduce_iterations=len(history)
         )
     model = fit(args.kind, train, seed=seed)
     out = Path(args.out)
@@ -275,44 +251,54 @@ def cmd_eval(args) -> int:
         test = read_dataset_csv(handle)
     report = evaluate(model, test)
     out = Path(args.json)
-    out.write_text(report.to_json())
-    outputs = [out]
-    if args.svg:
-        Path(args.svg).write_text(report.confusion_svg())
-        outputs.append(Path(args.svg))
-    if args.confusion_csv:
-        with open(args.confusion_csv, "w", encoding="utf-8") as handle:
-            report.confusion_csv(handle)
-        outputs.append(Path(args.confusion_csv))
+    replace_text(out, report.to_json())
+    outputs = [out, *(Path(path) for _, path in _write_confusion(report, args))]
     _write_manifest(out, "eval", {"model": str(args.model)}, [args.model, args.test], outputs)
-    print(
-        f"top1={report.top1:.3f} top3={report.top3:.3f} f1={report.macro_f1:.3f} "
-        f"auc={report.auc_roc_macro:.3f} -> {out}"
-    )
+    print(f"{report.summary()} -> {out}")
     return EXIT_OK
 
 
-def cmd_inject(args) -> int:
+def _write_confusion(report, args) -> list[tuple[str, str]]:
+    """Write ``report``'s confusion matrix where ``--svg`` and
+    ``--confusion-csv`` ask for it; ``(format, path)`` of each file."""
+    written = []
+    if args.svg:
+        replace_text(args.svg, report.confusion_svg())
+        written.append(("SVG", args.svg))
+    if args.confusion_csv:
+        replace_text(args.confusion_csv, rendered(report.confusion_csv))
+        written.append(("CSV", args.confusion_csv))
+    return written
+
+
+def _injection(doc: dict, modules, count: int, keys: tuple[str, str]):
+    """``mutate.inject_batch`` bound to the checked settings of ``inject``'s
+    config or ``pipeline``'s ``injection`` object; ``keys`` name the config
+    keys of ``modules`` and the bug types in errors."""
     from . import mutate
 
+    bug_types = doc.get("bug_types", mutate.BUG_TYPES)
+    for key, entries in zip(keys, (modules, bug_types)):
+        if count > 0 and not entries:
+            raise ValueError(f"config key {key!r} is empty but {count} scenario(s) were requested")
+    return functools.partial(
+        mutate.inject_batch,
+        modules=modules,
+        bug_types=bug_types,
+        count=count,
+        check=mutate.CheckCommands.from_dict(doc["check"]),
+        cache_path=doc.get("cache"),
+        failure_log_path=doc.get("failure_log"),
+        max_attempts=int(doc.get("max_attempts", 5)),
+    )
+
+
+def cmd_inject(args) -> int:
     config = json.loads(Path(args.config).read_text())
     seed = _env_override("seed", args.seed, config.get("seed"), default=0, cast=int)
     count = args.count if args.count is not None else int(config.get("count", 1))
-    bug_types = config.get("bug_types", mutate.BUG_TYPES)
-    _require_entries(count, "modules", config["modules"])
-    _require_entries(count, "bug_types", bug_types)
-    batch = mutate.inject_batch(
-        config["design_dir"],
-        config["modules"],
-        bug_types,
-        count,
-        mutate.CheckCommands.from_dict(config["check"]),
-        seed * 1_000_003,
-        cache_path=config.get("cache"),
-        failure_log_path=config.get("failure_log"),
-        max_attempts=int(config.get("max_attempts", 5)),
-        keep_applied=args.keep_applied,
-    )
+    inject = _injection(config, config["modules"], count, ("modules", "bug_types"))
+    batch = inject(config["design_dir"], seed_base=seed * 1_000_003, keep_applied=args.keep_applied)
     results = [
         {
             "scenario_id": scenario.scenario_id,
@@ -324,13 +310,12 @@ def cmd_inject(args) -> int:
         for module, bug_type, scenario in batch
     ]
     summary = {
-        "accepted": sum(r["status"] == "accepted" for r in results),
-        "rejected_syntax": sum(r["status"] == "rejected_syntax" for r in results),
-        "rejected_ineffective": sum(r["status"] == "rejected_ineffective" for r in results),
-        "scenarios": results,
+        status: sum(r["status"] == status for r in results)
+        for status in ("accepted", "rejected_syntax", "rejected_ineffective")
     }
+    summary["scenarios"] = results
     if args.json:
-        Path(args.json).write_text(json.dumps(summary, indent=2))
+        replace_text(args.json, json.dumps(summary, indent=2))
         _write_manifest(Path(args.json), "inject", {"seed": seed}, [args.config], [args.json])
     print(
         f"injected {count} scenario(s): {summary['accepted']} accepted, "
@@ -340,39 +325,33 @@ def cmd_inject(args) -> int:
     return EXIT_OK
 
 
+# (config field, flag dest, which also names the WAVETRIAGE_* variable, type)
+_PIPELINE_OVERRIDES = (
+    ("worker_count", "workers", int),
+    ("tick_cap", "tick_cap", int),
+    ("seed", "seed", int),
+    ("keep_fraction", "keep_fraction", float),
+    ("max_signals", "max_signals", int),
+)
+
+
 def cmd_pipeline(args) -> int:
-    from .extract import DEFAULT_TICK_CAP, write_dataset_csv
+    from . import mutate
+    from .extract import write_dataset_csv
     from .metrics import evaluate
     from .models import fit, save_model
-    from .orchestrate import (
-        PipelineConfig,
-        StageSizeReport,
-        dispatch,
-        run_data_pipeline,
-        scenario_jobs,
-    )
-    from .ranking import DEFAULT_KEEP_FRACTION, DEFAULT_MAX_SIGNALS
+    from .orchestrate import PipelineConfig, StageSizeReport, dispatch, run_data_pipeline, scenario_jobs
 
     cfg = PipelineConfig.from_json_file(args.config)
-    cfg.worker_count = _env_override("workers", args.workers, cfg.worker_count, 1, int)
-    cfg.tick_cap = _env_override("tick_cap", args.tick_cap, cfg.tick_cap, DEFAULT_TICK_CAP, int)
-    cfg.seed = _env_override("seed", args.seed, cfg.seed, 0, int)
+    for field, dest, cast in _PIPELINE_OVERRIDES:
+        setattr(cfg, field, _env_override(dest, getattr(args, dest), getattr(cfg, field), cast=cast))
     if args.stats:
         cfg.stats = tuple(s.strip() for s in args.stats.split(",") if s.strip())
-    cfg.keep_fraction = _env_override(
-        "keep_fraction", args.keep_fraction, cfg.keep_fraction, DEFAULT_KEEP_FRACTION, float
-    )
-    cfg.max_signals = _env_override(
-        "max_signals", args.max_signals, cfg.max_signals, DEFAULT_MAX_SIGNALS, int
-    )
+    cfg.require_simulator()
     inj = cfg.injection or {}
     if inj.get("enabled"):
-        from . import mutate
-
         count = int(inj.get("count", len(cfg.targets)))
-        bug_types = inj.get("bug_types", mutate.BUG_TYPES)
-        _require_entries(count, "targets", cfg.targets)
-        _require_entries(count, "injection.bug_types", bug_types)
+        inject = _injection(inj, cfg.targets, count, ("targets", "injection.bug_types"))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     scratch = out_dir / "scratch"
@@ -383,17 +362,7 @@ def cmd_pipeline(args) -> int:
         if scratch_design.exists():
             shutil.rmtree(scratch_design)
         shutil.copytree(cfg.design_dir, scratch_design)
-        batch = mutate.inject_batch(
-            scratch_design,
-            cfg.targets,
-            bug_types,
-            count,
-            mutate.CheckCommands.from_dict(inj["check"]),
-            cfg.seed * 7_919,
-            cache_path=inj.get("cache"),
-            failure_log_path=inj.get("failure_log"),
-            max_attempts=int(inj.get("max_attempts", 5)),
-        )
+        batch = inject(scratch_design, seed_base=cfg.seed * 7_919)
         accepted = sum(s.status == mutate.STATUS_ACCEPTED for _, _, s in batch)
         print(f"injection: {accepted}/{count} scenario(s) accepted (cached)")
 
@@ -416,15 +385,14 @@ def cmd_pipeline(args) -> int:
         datasets[split] = dataset
         report_total.merge(report)
         csv_path = out_dir / f"{split}.csv"
-        with open(csv_path, "w", encoding="utf-8") as handle:
-            write_dataset_csv(dataset, handle)
+        replace_text(csv_path, rendered(write_dataset_csv, dataset))
         print(f"{split}: {len(dataset)} rows x {len(dataset.feature_names)} features -> {csv_path}")
 
-    (out_dir / "stage_sizes.json").write_text(report_total.to_json())
+    replace_text(out_dir / "stage_sizes.json", report_total.to_json())
 
     train = datasets["train"]
     if cfg.reduce:
-        from .ranking import reduce_signals
+        from .ranking import history_json, reduce_signals
 
         coverage = _coverage_from_design(cfg, train)
         train, history = reduce_signals(
@@ -434,9 +402,7 @@ def cmd_pipeline(args) -> int:
             max_signals=cfg.max_signals,
             seed=cfg.seed,
         )
-        from .ranking import history_json
-
-        (out_dir / "reduction_history.json").write_text(history_json(history, coverage))
+        replace_text(out_dir / "reduction_history.json", history_json(history, coverage))
 
     metrics_doc = {}
     for kind in cfg.models:
@@ -444,12 +410,9 @@ def cmd_pipeline(args) -> int:
         save_model(model, out_dir / f"model_{kind}.bin")
         report = evaluate(model, datasets["test"])
         metrics_doc[kind] = report.to_dict()
-        print(
-            f"{kind}: top1={report.top1:.3f} top3={report.top3:.3f} "
-            f"f1={report.macro_f1:.3f} auc={report.auc_roc_macro:.3f}"
-        )
+        print(f"{kind}: {report.summary()}")
     metrics_path = out_dir / "metrics.json"
-    metrics_path.write_text(json.dumps(metrics_doc, indent=2))
+    replace_text(metrics_path, json.dumps(metrics_doc, indent=2))
     _write_manifest(
         metrics_path,
         "pipeline",
@@ -480,25 +443,32 @@ def _coverage_from_design(cfg, dataset) -> dict[str, str]:
 
 
 def cmd_report(args) -> int:
-    from .metrics import MetricsReport
+    from .metrics import MetricsError, reports_from_json
 
+    try:
+        reports = reports_from_json(Path(args.metrics).read_text())
+    except MetricsError as exc:
+        raise MetricsError(f"{args.metrics}: {exc}") from None
+    if (args.svg or args.confusion_csv) and len(reports) > 1:
+        raise MetricsError(
+            f"--svg and --confusion-csv draw one report, but {args.metrics} holds "
+            f"{len(reports)}: {', '.join(reports)}"
+        )
     lines = []
-    report = MetricsReport.from_json(Path(args.metrics).read_text())
-    lines.append("classification report")
-    lines.append(f"  top-1 accuracy : {report.top1:.4f}")
-    lines.append(f"  top-3 accuracy : {report.top3:.4f}")
-    lines.append(f"  macro F1       : {report.macro_f1:.4f}")
-    lines.append(f"  macro TPR      : {report.macro_tpr:.4f}")
-    lines.append(f"  macro FPR      : {report.macro_fpr:.4f}")
-    lines.append(f"  macro ROC AUC  : {report.auc_roc_macro:.4f}")
-    lines.append(f"  classes        : {', '.join(report.classes)}")
-    if args.svg:
-        Path(args.svg).write_text(report.confusion_svg())
-        lines.append(f"  confusion SVG  : {args.svg}")
-    if args.confusion_csv:
-        with open(args.confusion_csv, "w", encoding="utf-8") as handle:
-            report.confusion_csv(handle)
-        lines.append(f"  confusion CSV  : {args.confusion_csv}")
+    for kind, report in reports.items():
+        if lines:
+            lines.append("")
+        lines.append(f"classification report ({kind})" if kind else "classification report")
+        lines.append(f"  top-1 accuracy : {report.top1:.4f}")
+        lines.append(f"  top-3 accuracy : {report.top3:.4f}")
+        lines.append(f"  macro F1       : {report.macro_f1:.4f}")
+        lines.append(f"  macro TPR      : {report.macro_tpr:.4f}")
+        lines.append(f"  macro FPR      : {report.macro_fpr:.4f}")
+        lines.append(f"  macro ROC AUC  : {report.auc_roc_macro:.4f}")
+        lines.append(f"  classes        : {', '.join(report.classes)}")
+    # writes only for a file of one report (checked above), the loop's last
+    for fmt, path in _write_confusion(report, args):
+        lines.append(f"  confusion {fmt}  : {path}")
     if args.ablation:
         doc = json.loads(Path(args.ablation).read_text())
         lines.append("")
@@ -606,9 +576,6 @@ def main(argv=None) -> int:
         print(f"external command failure: {exc}", file=sys.stderr)
         return EXIT_EXTERNAL
     except _data_errors() as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -219,13 +219,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def class_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for label in self.labels:
-            counts[label] = counts.get(label, 0) + 1
-        return counts
-
     def signal_names(self) -> list[str]:
         seen: dict[str, None] = {}
         for name in self.feature_names:
@@ -459,6 +452,26 @@ def write_rough_csv(window: WaveWindow, out: IO[str]) -> None:
     times = window.tick_times.tolist()
     for i, row in enumerate(window.matrix):
         writer.writerow([times[i]] + [repr(v) for v in row.tolist()])
+
+
+def read_rough_csv(stream: IO[str], label: str, scenario_id: str) -> WaveWindow:
+    """The window :func:`write_rough_csv` wrote; the file holds neither
+    its label nor its scenario id."""
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if not header or header[0] != "tick":
+        raise ExtractError("not a rough CSV: expected a tick,<signals> header")
+    ticks, values = [], []
+    for record in reader:
+        ticks.append(int(record[0]))
+        values.append([float(v) for v in record[1:]])
+    return WaveWindow(
+        matrix=np.asarray(values),
+        tick_times=np.asarray(ticks),
+        signals=header[1:],
+        label=label,
+        scenario_id=scenario_id,
+    )
 
 
 def rough_csv_size(window: WaveWindow) -> int:

@@ -9,7 +9,7 @@ class list for a stable shape (rows = true, columns = predicted).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Sequence
 
 import numpy as np
@@ -20,6 +20,11 @@ from .models import ClassifierModel
 
 class EmptyTest(Exception):
     pass
+
+
+class MetricsError(Exception):
+    """A metrics document that lacks a report key, or that holds more
+    reports than the output asked for can draw."""
 
 
 @dataclass
@@ -49,8 +54,14 @@ class MetricsReport:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        doc = json.loads(text)
+    def from_dict(cls, doc) -> "MetricsReport":
+        """The report :meth:`to_dict` wrote; a missing key raises
+        :class:`MetricsError` naming it."""
+        if not isinstance(doc, dict):
+            raise MetricsError("a metrics report is a JSON object")
+        for key in fields(cls):
+            if key.name not in doc:
+                raise MetricsError(f"metrics report has no key {key.name!r}")
         return cls(
             top1=doc["top1"],
             top3=doc["top3"],
@@ -62,6 +73,13 @@ class MetricsReport:
             classes=list(doc["classes"]),
         )
 
+    def summary(self) -> str:
+        """The one-line result that ``eval`` and ``pipeline`` print."""
+        return (
+            f"top1={self.top1:.3f} top3={self.top3:.3f} f1={self.macro_f1:.3f} "
+            f"auc={self.auc_roc_macro:.3f}"
+        )
+
     def confusion_csv(self, out: IO[str]) -> None:
         out.write("true\\predicted," + ",".join(self.classes) + "\n")
         for i, label in enumerate(self.classes):
@@ -69,6 +87,22 @@ class MetricsReport:
 
     def confusion_svg(self) -> str:
         return confusion_heatmap_svg(self.confusion, self.classes)
+
+
+def reports_from_json(text: str) -> dict[str, MetricsReport]:
+    """The reports of a metrics document: ``{"": report}`` for the one
+    report that ``eval`` writes, ``{kind: report}`` for the document of one
+    report per model kind that ``pipeline`` writes."""
+    doc = json.loads(text)
+    if not (isinstance(doc, dict) and doc and all(isinstance(v, dict) for v in doc.values())):
+        return {"": MetricsReport.from_dict(doc)}
+    reports = {}
+    for kind, report in doc.items():
+        try:
+            reports[kind] = MetricsReport.from_dict(report)
+        except MetricsError as exc:
+            raise MetricsError(f"model kind {kind!r}: {exc}") from None
+    return reports
 
 
 def topk_accuracy(probs: np.ndarray, y: np.ndarray, k: int) -> float:

@@ -14,7 +14,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -38,7 +38,7 @@ from .extract import (
 from .ranking import DEFAULT_KEEP_FRACTION, DEFAULT_MAX_SIGNALS
 from .rtl import DesignSources, ModuleLookupTable, scan_sources, signals_for_targets
 from .selection import SelectionError, prune
-from .sysio import run_template
+from .sysio import rendered, replace_text, run_template
 from .vcd import VcdError, parse_header, list_full_names, stream_changes
 
 
@@ -93,16 +93,33 @@ class PipelineConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "PipelineConfig":
+        """The config in a JSON file, where ``null`` stands for a key's
+        default; an unknown key or a missing required one raises ValueError
+        naming it and the file."""
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: a pipeline config is a JSON object")
+        doc = {key: value for key, value in doc.items() if value is not None}
+        known = {key.name: key for key in fields(cls)}
+        unknown = sorted(set(doc) - set(known))
+        if unknown:
+            raise ValueError(
+                f"{path}: unknown config key {unknown[0]!r}; known keys: {', '.join(known)}"
+            )
+        missing = [name for name, key in known.items() if key.default is MISSING and name not in doc]
+        if missing:
+            raise ValueError(f"{path}: config key {missing[0]!r} is missing")
         doc.setdefault("stats", list(DEFAULT_STATS.names))
         doc["stats"] = tuple(doc["stats"])
         if "models" in doc:
             doc["models"] = tuple(doc["models"])
         return cls(**doc)
 
-    def stat_set(self) -> StatSet:
-        return StatSet(tuple(self.stats))
+    def require_simulator(self) -> None:
+        """Raise ValueError when no simulator command is configured."""
+        if not self.simulator.strip():
+            raise ValueError("config key 'simulator' is empty: no simulator command to run")
 
 
 @dataclass
@@ -204,8 +221,7 @@ def dispatch(jobs: Sequence[ScenarioJob], cfg: PipelineConfig) -> list[JobResult
     threads give full process-level parallelism); failed runs retry up to
     the configured limit. Results come back ordered by scenario id, making
     the outcome independent of scheduling."""
-    if not cfg.simulator.strip():
-        raise ValueError("config key 'simulator' is empty: no simulator command to run")
+    cfg.require_simulator()
     seen: set[str] = set()
     for job in jobs:
         key = str(job.scratch_dir)
@@ -292,8 +308,7 @@ def _process_waveform(payload) -> tuple[FeatureRow, int, bool]:
 
     window = read_window(vcd_path, select, tick_cap, label, scenario_id)
     if rough_out is not None:
-        with open(rough_out, "w", encoding="utf-8") as handle:
-            write_rough_csv(window, handle)
+        replace_text(rough_out, rendered(write_rough_csv, window))
     row = summarize(window, StatSet(tuple(stat_names)))
     return row, rough_csv_size(window), window.available_ticks >= tick_cap
 

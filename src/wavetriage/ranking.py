@@ -37,14 +37,6 @@ class SignalRanking:
     iteration: int
     retained: list[str]  # descending importance, ties broken by name
 
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "retained_count": len(self.retained),
-            "retained": list(self.retained),
-            "per_signal_importance": dict(self.per_signal_importance),
-        }
-
 
 def _sorted_by_importance(signals: Sequence[str], importance: Mapping[str, float]) -> list[str]:
     return sorted(signals, key=lambda name: (-importance[name], name))

@@ -1,13 +1,16 @@
-"""Running a command template and replacing a file atomically: the two
-contracts with the outside world besides reading files, each with one
-owner here. Standard library only."""
+"""Running a command template and replacing a file atomically, from bytes
+or from text rendered through a handle: the two contracts with the outside
+world besides reading files, each with one owner here. Standard library
+only."""
 
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import shlex
 import shutil
+import stat
 import subprocess
 from pathlib import Path
 
@@ -35,8 +38,22 @@ def replace_file(path, data: bytes) -> None:
     """Replace ``path`` with ``data`` through a temporary file in the same
     directory and ``os.replace``, so a reader never sees a partial write; a
     failure removes the temporary file. The result has the mode a plain
-    ``open`` gives: the old file's, or ``0o666`` less the umask."""
-    path = Path(path)
+    ``open`` gives: the old file's, or ``0o666`` less the umask.
+
+    As with a plain ``open``, a symlink is written through to its target,
+    and a FIFO, device or pipe (``/dev/stdout``, say) takes the bytes as a
+    stream: only a regular file or a new path is replaced. What ``path``
+    is comes from ``os.stat``, which follows ``/dev/stdout`` to the pipe
+    behind it; the path is resolved only when a file is to be replaced."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = stat.S_IFREG  # a new path (or a dangling symlink's target)
+    if not stat.S_ISREG(mode) and not stat.S_ISDIR(mode):
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -48,3 +65,15 @@ def replace_file(path, data: bytes) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def replace_text(path, text: str) -> None:
+    """:func:`replace_file` with ``text`` in UTF-8."""
+    replace_file(path, text.encode("utf-8"))
+
+
+def rendered(write, *args) -> str:
+    """The text that ``write(*args, handle)`` writes to a text handle."""
+    buf = io.StringIO()
+    write(*args, buf)
+    return buf.getvalue()

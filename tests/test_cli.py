@@ -1,10 +1,15 @@
 import json
+import os
+import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from wavetriage import cli, sysio
 from wavetriage.cli import main
 from wavetriage.fixtures import (
     build_scenarios,
@@ -13,6 +18,7 @@ from wavetriage.fixtures import (
     materialize_corpus,
     simulator_command,
 )
+from wavetriage.metrics import MetricsReport
 from wavetriage.mutate import load_cache
 
 PY = sys.executable
@@ -29,6 +35,31 @@ def corpus(tmp_path_factory):
 
 def run(*argv):
     return main(list(argv))
+
+
+@pytest.fixture
+def replaced(monkeypatch):
+    """The set of paths that ``sysio.replace_file`` has put in place
+    since the test began."""
+    paths = set()
+    real_replace = os.replace
+
+    def record(src, dst):
+        real_replace(src, dst)
+        paths.add(Path(dst))
+
+    monkeypatch.setattr(sysio.os, "replace", record)
+    return paths
+
+
+def files_under(root, skip=frozenset()):
+    return {p for p in Path(root).rglob("*") if p.is_file() and not skip & set(p.parts)}
+
+
+def test_cli_opens_no_file_for_writing():
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert "write_text(" not in source
+    assert not re.search(r"open\([^)]*[\"'][wax]", source)
 
 
 def test_usage_error_is_exit_1():
@@ -104,7 +135,7 @@ def test_extract_rejects_a_selection_the_waveform_does_not_declare(corpus, tmp_p
                "--dut-root", "tb.dut", "--json", str(tmp_path / "sel2.json")) == 2
 
 
-def test_select_extract_compress_train_eval_chain(corpus, tmp_path):
+def test_select_extract_compress_train_eval_chain(corpus, tmp_path, replaced):
     tau = tmp_path / "tau.json"
     sources = sorted(str(p) for p in corpus.root.glob("*.sv"))
     assert run("scan", "--sources", *sources, "--json", str(tau)) == 0
@@ -153,14 +184,30 @@ def test_select_extract_compress_train_eval_chain(corpus, tmp_path):
     assert run("train", "--train", str(train_csv), "--kind", "knn", "--out", str(model)) == 0
 
     metrics = tmp_path / "metrics.json"
-    assert run("eval", "--model", str(model), "--test", str(test_csv), "--json", str(metrics)) == 0
+    eval_svg, eval_csv = tmp_path / "eval.svg", tmp_path / "eval.csv"
+    assert run(
+        "eval", "--model", str(model), "--test", str(test_csv), "--json", str(metrics),
+        "--svg", str(eval_svg), "--confusion-csv", str(eval_csv),
+    ) == 0
     doc = json.loads(metrics.read_text())
     assert {"top1", "top3", "macro_f1", "auc_roc_macro", "confusion"} <= set(doc)
 
     # report rendering over the metrics JSON
-    svg = tmp_path / "confusion.svg"
-    assert run("report", "--metrics", str(metrics), "--svg", str(svg)) == 0
+    svg, confusion = tmp_path / "confusion.svg", tmp_path / "confusion.csv"
+    assert run("report", "--metrics", str(metrics), "--svg", str(svg), "--confusion-csv", str(confusion)) == 0
     assert svg.read_text().startswith("<svg")
+    assert svg.read_bytes() == eval_svg.read_bytes()
+    assert confusion.read_text().startswith("true\\predicted,")
+    assert confusion.read_bytes() == eval_csv.read_bytes()
+
+    # every file of the chain, each manifest and sidecar included, took its
+    # place through sysio.replace_file
+    manifests = {p for p in files_under(tmp_path) if p.name.endswith(".manifest.json")}
+    assert {p.name for p in manifests} >= {
+        "tau.json.manifest.json", "train.csv.manifest.json", "model.bin.manifest.json",
+        "metrics.json.manifest.json",
+    }
+    assert files_under(tmp_path) <= replaced
 
 
 def test_eval_missing_model_is_exit_2(tmp_path):
@@ -168,7 +215,7 @@ def test_eval_missing_model_is_exit_2(tmp_path):
     assert run("eval", "--model", str(missing), "--test", str(missing), "--json", str(tmp_path / "m.json")) == 2
 
 
-def test_inject_subcommand(corpus, tmp_path):
+def test_inject_subcommand(corpus, tmp_path, replaced):
     config = {
         "design_dir": str(corpus.root),
         "modules": list(corpus.modules),
@@ -188,6 +235,7 @@ def test_inject_subcommand(corpus, tmp_path):
     summary = json.loads(out.read_text())
     assert summary["accepted"] >= 1
     assert len(summary["scenarios"]) == 6
+    assert {out, Path(str(out) + ".manifest.json")} <= replaced
     # sources restored after the run
     for src in corpus.root.glob("*.sv"):
         assert src.read_text() == (corpus.root / "golden" / src.name).read_text()
@@ -379,10 +427,18 @@ def test_pipeline_injection_empty_list_is_exit_2(corpus, tmp_path, capsys, targe
     assert not out_dir.exists()
 
 
-def test_pipeline_reduce_writes_history(corpus, tmp_path):
+def test_pipeline_reduce_writes_history(corpus, tmp_path, replaced):
     out_dir = tmp_path / "run"
-    cfg_path = pipeline_config(corpus, out_dir, reduce=True, max_signals=8)
+    # one worker, so the rough CSVs are written in this process
+    cfg_path = pipeline_config(corpus, out_dir, reduce=True, max_signals=8, keep_rough=True, worker_count=1)
     assert run("pipeline", "--config", str(cfg_path)) == 0
+    written = files_under(out_dir, skip={"scratch"})
+    assert {p.name for p in written if p.parent == out_dir} == {
+        "train.csv", "test.csv", "stage_sizes.json", "reduction_history.json", "model_knn.bin",
+        "metrics.json", "metrics.json.manifest.json",
+    }
+    assert len([p for p in written if p.parent.name == "rough"]) == len(corpus.modules) * (4 + 2)
+    assert written <= replaced
     history = json.loads((out_dir / "reduction_history.json").read_text())
     assert history[-1]["retained_count"] <= 8
     assert set(history[-1]["per_module_coverage"]) == set(corpus.modules)
@@ -554,16 +610,16 @@ def test_pipeline_non_finite_real_is_exit_2(corpus, tmp_path, capsys):
     assert "_acc_q' holds non-finite value inf at time " in err
 
 
-def test_report_ablation_table(tmp_path, corpus):
-    from wavetriage.metrics import MetricsReport
-    import numpy as np
-
-    report = MetricsReport(
-        top1=0.9, top3=0.98, macro_f1=0.9, macro_tpr=0.9, macro_fpr=0.02,
+def metrics_report(top1=0.9):
+    return MetricsReport(
+        top1=top1, top3=0.98, macro_f1=0.9, macro_tpr=0.9, macro_fpr=0.02,
         auc_roc_macro=0.99, confusion=np.eye(2, dtype=int), classes=["a", "b"],
     )
+
+
+def test_report_ablation_table(tmp_path, corpus):
     m_path = tmp_path / "m.json"
-    m_path.write_text(report.to_json())
+    m_path.write_text(metrics_report().to_json())
     ablation = [
         {"tick_cap": 200, "metrics": {"top1": 0.91, "top3": 0.97}},
         {"tick_cap": 2000, "metrics": {"top1": 0.93, "top3": 0.99}},
@@ -571,3 +627,91 @@ def test_report_ablation_table(tmp_path, corpus):
     a_path = tmp_path / "ablation.json"
     a_path.write_text(json.dumps(ablation))
     assert run("report", "--metrics", str(m_path), "--ablation", str(a_path)) == 0
+
+
+def test_report_renders_each_kind_of_a_pipeline_metrics_file(tmp_path, capsys):
+    path = tmp_path / "metrics.json"
+    doc = {"gbt": metrics_report(0.75).to_dict(), "knn": metrics_report(0.5).to_dict()}
+    path.write_text(json.dumps(doc, indent=2))
+    assert run("report", "--metrics", str(path)) == 0
+    blocks = capsys.readouterr().out.split("\n\n")
+    assert [block.splitlines()[:2] for block in blocks] == [
+        ["classification report (gbt)", "  top-1 accuracy : 0.7500"],
+        ["classification report (knn)", "  top-1 accuracy : 0.5000"],
+    ]
+
+    svg = tmp_path / "confusion.svg"
+    for flag in ("--svg", "--confusion-csv"):
+        assert run("report", "--metrics", str(path), flag, str(svg)) == 2
+        assert f"{path} holds 2: gbt, knn" in capsys.readouterr().err
+    assert not svg.exists()
+
+    path.write_text(json.dumps({"knn": doc["knn"]}))
+    assert run("report", "--metrics", str(path), "--svg", str(svg)) == 0
+    assert capsys.readouterr().out.startswith("classification report (knn)\n")
+    assert svg.read_text() == metrics_report().confusion_svg()
+
+
+@pytest.mark.parametrize("per_kind", [False, True], ids=["eval", "pipeline"])
+def test_report_names_a_missing_metrics_key_and_the_file(tmp_path, capsys, per_kind):
+    doc = metrics_report().to_dict()
+    del doc["top3"]
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps({"gbt": doc} if per_kind else doc))
+    assert run("report", "--metrics", str(path)) == 2
+    kind = "model kind 'gbt': " if per_kind else ""
+    assert capsys.readouterr().err == f"error: {path}: {kind}metrics report has no key 'top3'\n"
+
+
+def test_report_streams_the_confusion_csv_to_dev_stdout_as_a_pipe(tmp_path):
+    path = tmp_path / "m.json"
+    report = metrics_report()
+    path.write_text(report.to_json())
+    code = "import sys; from wavetriage.cli import main; sys.exit(main(sys.argv[1:]))"
+    args = ["report", "--metrics", str(path), "--confusion-csv", "/dev/stdout"]
+    env = {**os.environ, "PYTHONPATH": str(Path(sysio.__file__).parent.parent)}
+    proc = subprocess.run([PY, "-c", code, *args], capture_output=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    csv_text = sysio.rendered(report.confusion_csv)
+    assert proc.stdout.decode().startswith(csv_text + "classification report\n")
+    assert "confusion CSV  : /dev/stdout" in proc.stdout.decode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
+def test_pipeline_injection_without_a_simulator_is_exit_2_before_injecting(corpus, tmp_path, capsys):
+    injection = {
+        "enabled": True,
+        "count": 2,
+        "bug_types": ["logic_bug"],
+        "check": {
+            "compile": f"{PY} {{design_dir}}/check_compile.py {{design_dir}}",
+            "test": f"{PY} {{design_dir}}/check_test.py {{design_dir}}",
+        },
+    }
+    out_dir = tmp_path / "run"
+    cfg_path = pipeline_config(corpus, out_dir, injection=injection, simulator="")
+    assert run("pipeline", "--config", str(cfg_path)) == 2
+    captured = capsys.readouterr()
+    assert "config key 'simulator' is empty" in captured.err
+    assert "injection:" not in captured.out
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["worker", "targets"], ids=["unknown", "missing"])
+def test_pipeline_config_key_errors_are_exit_2_before_any_stage(corpus, tmp_path, capsys, key):
+    out_dir = tmp_path / "run"
+    cfg_path = pipeline_config(corpus, out_dir)
+    config = json.loads(cfg_path.read_text())
+    if key == "worker":
+        config["worker"] = 2
+    else:
+        del config["targets"]
+    cfg_path.write_text(json.dumps(config))
+    assert run("pipeline", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    if key == "worker":
+        assert err.startswith(f"error: {cfg_path}: unknown config key 'worker'; known keys: design_dir, ")
+        assert ", worker_count, " in err
+    else:
+        assert err == f"error: {cfg_path}: config key 'targets' is missing\n"
+    assert not out_dir.exists()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from wavetriage.extract import (
     Dataset,
     EmptyDump,
+    ExtractError,
     FeatureRow,
     HeaderMismatch,
     NonFiniteReal,
@@ -20,6 +21,7 @@ from wavetriage.extract import (
     assemble,
     dataset_csv_sizes,
     read_dataset_csv,
+    read_rough_csv,
     rough_csv_size,
     sample_window,
     standardize,
@@ -296,11 +298,6 @@ class TestAssemble:
             for i, label in enumerate(labels)
         ]
 
-    def test_class_counts(self):
-        ds = assemble(self.rows(["A", "A", "B"]))
-        assert ds.class_counts == {"A": 2, "B": 1}
-        assert ds.scenario_ids == ["s0", "s1", "s2"]
-
     def test_header_mismatch(self):
         rows = self.rows(["A", "B"])
         rows[1].feature_names = ["b__mean", "b__std"]
@@ -326,6 +323,7 @@ class TestCsv:
         clone = read_dataset_csv(io.StringIO(buf.getvalue()))
         assert clone.feature_names == ds.feature_names
         assert clone.labels == ds.labels
+        assert clone.scenario_ids == ds.scenario_ids == ["s0", "s1"]
         assert np.array_equal(clone.matrix, ds.matrix)
 
     def test_write_is_deterministic(self):
@@ -342,6 +340,22 @@ class TestCsv:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "tick,top.s0,top.s1"
         assert len(lines) == 4
+
+    def test_rough_csv_round_trip(self):
+        # padding rows (tick -1), a signed zero and a value repr writes in full
+        win = standardize(window_of([[0.1, -0.0], [1e-300, 2.0 / 3.0]]), 4)
+        buf = io.StringIO()
+        write_rough_csv(win, buf)
+        clone = read_rough_csv(io.StringIO(buf.getvalue()), "mod", "s7")
+        assert clone.signals == win.signals
+        assert clone.tick_times.tolist() == [-1, -1, 0, 1]
+        assert clone.matrix.tobytes() == win.matrix.tobytes()
+        assert (clone.label, clone.scenario_id) == ("mod", "s7")
+
+    @pytest.mark.parametrize("text", ["", "scenario_id,label\n"])
+    def test_read_rough_csv_rejects_another_file(self, text):
+        with pytest.raises(ExtractError, match="not a rough CSV"):
+            read_rough_csv(io.StringIO(text), "mod", "s0")
 
     def test_dataset_subset_signals(self):
         ds = assemble(

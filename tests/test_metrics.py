@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def test_report_json_and_csv_and_svg():
     ds = blobs()
     model = fit("knn", ds, KNNParams())
     report = evaluate(model, ds)
-    clone = MetricsReport.from_json(report.to_json())
+    clone = MetricsReport.from_dict(json.loads(report.to_json()))
     assert clone.top1 == report.top1
     assert np.array_equal(clone.confusion, report.confusion)
 

@@ -4,6 +4,7 @@ import os
 import re
 import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -204,7 +205,7 @@ def test_pipeline_dataset_and_stage_report(corpus, tmp_path):
     results = dispatch(jobs, cfg)
     dataset, report = run_data_pipeline(results, cfg)
     assert len(dataset) == len(jobs)
-    assert dataset.class_counts == {m: 2 for m in corpus.modules}
+    assert Counter(dataset.labels) == {m: 2 for m in corpus.modules}
     assert report.raw > 0
     assert report.rough >= report.compressed >= report.final > 0
     # repeat run: byte-identical final dataset
@@ -260,7 +261,16 @@ def test_config_json_round_trip(tmp_path, corpus):
     cfg = PipelineConfig.from_json_file(path)
     assert cfg.worker_count == 2
     assert cfg.tick_cap == 128
-    assert cfg.stat_set().names[0] == "mean"
+    assert cfg.stats[0] == "mean"
+
+
+def test_config_null_values_stand_for_defaults(tmp_path, corpus):
+    path = tmp_path / "cfg.json"
+    nulls = {"tick_cap": None, "seed": None, "keep_fraction": None, "max_signals": None, "dut_root": None}
+    path.write_text(json.dumps({"design_dir": str(corpus.root), "targets": ["a"], "top_module": "t", **nulls}))
+    cfg = PipelineConfig.from_json_file(path)
+    default = PipelineConfig(design_dir=str(corpus.root), targets=["a"], top_module="t")
+    assert cfg == default
 
 
 def test_reseeds_produce_multiple_rows(corpus, tmp_path):

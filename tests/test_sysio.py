@@ -1,5 +1,7 @@
 import os
 import shlex
+import stat
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,9 +79,36 @@ def test_replace_file_onto_a_directory_removes_the_temporary(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
 
+def test_replace_file_writes_through_a_symlink_and_into_a_fifo(tmp_path):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    replace_file(link, b"new")
+    assert link.is_symlink() and target.read_bytes() == b"new"
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        replace_file(fifo, b"streamed")
+        assert os.read(reader, 100) == b"streamed"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link", "target"]
+
+
 def test_sysio_is_the_one_owner():
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         found = [word for word in ("subprocess.run", "os.replace", "tempfile") if word in text]
         assert path.name == "sysio.py" or not found, (path.name, found)
     assert "vcd._" not in (SRC / "fixtures.py").read_text(encoding="utf-8")
+
+
+def test_package_attribute_imports_sysio_in_a_fresh_interpreter():
+    code = "import wavetriage; print(wavetriage.sysio.replace_file.__name__)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "replace_file\n"

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""SHA-256 of every output of one seeded ``wavetriage pipeline`` run.
+"""SHA-256 of every output of one seeded ``wavetriage pipeline`` run and of
+the stage commands run one at a time.
 
     python3 tools/output_hashes.py [--ref REF | --check REF]
 
@@ -14,10 +15,19 @@ model's ``predict_proba`` on ``test.csv``. Those lines do not depend on the
 model file format, so they show an unchanged model where only the file's
 bytes changed. One last line covers the corpus itself: a SHA-256 over
 ``manifest.json`` and every ``vcds/*.vcd`` in sorted order, each file's
-relative path and size hashed in front of its bytes. Outputs are
-byte-deterministic under a fixed seed, so two trees that print the same
-lines generate the same corpus and produce the same datasets, reduction,
-models and metrics on it.
+relative path and size hashed in front of its bytes.
+
+Then the stage commands run one at a time on the first test scenario of
+each module: ``scan``, ``select`` (on the first of those waveforms),
+``extract`` per waveform, ``compress``, ``train``, ``eval --svg
+--confusion-csv`` and ``report --svg --confusion-csv``. One ``chain/NAME``
+line covers each file they write, each ``*.manifest.json`` and rough-CSV
+sidecar included, and one ``chain/COMMAND:stdout`` line what each command
+printed; the temporary root is replaced by ``<work>`` in every file and
+every stdout before it is hashed. Outputs are byte-deterministic under a
+fixed seed, so two trees that print the same lines generate the same
+corpus and produce the same datasets, reduction, models, metrics and stage
+command outputs on it.
 
 The corpus has 4 modules with 6 train and 6 test scenarios each, reduced
 to at most 12 signals. Its scenarios have difficulty ``impossible``: the
@@ -41,6 +51,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -99,6 +110,62 @@ def output_hashes(work: Path) -> list[str]:
     for name in models:
         lines.append(f"{model_content_hash(out_dir / name, out_dir / 'test.csv')}  {name}:content")
     lines.append(f"{corpus_hash(design.root)}  design/{{manifest.json,vcds/*.vcd}}")
+    return lines + stage_chain_hashes(work, design)
+
+
+def stage_chain_hashes(work: Path, design) -> list[str]:
+    """Run the stage commands one at a time under ``work/chain``; ``sha256
+    chain/NAME`` for every file they write and ``sha256
+    chain/COMMAND:stdout`` for what each printed, with ``work`` replaced by
+    ``<work>``."""
+    from wavetriage import cli
+
+    chain = work / "chain"
+    chain.mkdir()
+    scenarios = {module: f"test-{module}-0000" for module in design.modules}
+    waves = {module: design.root / "vcds" / f"{sid}.vcd" for module, sid in scenarios.items()}
+    tau, sel, data = chain / "tau.json", chain / "sel.json", chain / "data.csv"
+    model, metrics = chain / "model.bin", chain / "metrics.json"
+    steps = [
+        ("scan", ["scan", "--sources", *sorted(map(str, design.root.glob("*.sv"))), "--json", tau]),
+        ("select", [
+            "select", "--vcd", waves[design.modules[0]], "--tau", tau,
+            "--targets", ",".join(design.modules), "--top-module", design.top_module,
+            "--dut-root", design.dut_root, "--json", sel,
+        ]),
+        *(
+            (f"extract-{module}", [
+                "extract", "--vcd", waves[module], "--selection", sel, "--label", module,
+                "--scenario-id", sid, "--tick-cap", "250", "--rough-csv", chain / f"{sid}.csv",
+            ])
+            for module, sid in scenarios.items()
+        ),
+        ("compress", ["compress", "--rough-csv", *(chain / f"{sid}.csv" for sid in scenarios.values()), "--out", data]),
+        ("train", ["train", "--train", data, "--kind", "gbt", "--seed", str(SEED), "--out", model]),
+        ("eval", [
+            "eval", "--model", model, "--test", data, "--json", metrics,
+            "--svg", chain / "eval.svg", "--confusion-csv", chain / "eval_confusion.csv",
+        ]),
+        ("report", [
+            "report", "--metrics", metrics,
+            "--svg", chain / "report.svg", "--confusion-csv", chain / "report_confusion.csv",
+        ]),
+    ]
+    root = str(work).encode("utf-8")
+
+    def line(data: bytes, name: str) -> str:
+        return f"{hashlib.sha256(data.replace(root, b'<work>')).hexdigest()}  chain/{name}"
+
+    lines = []
+    for name, argv in steps:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main([str(arg) for arg in argv])
+        if code != 0:
+            raise SystemExit(f"wavetriage {name} exited {code}")
+        lines.append(line(stdout.getvalue().encode("utf-8"), f"{name}:stdout"))
+    for path in sorted(chain.iterdir()):
+        lines.append(line(path.read_bytes(), path.name))
     return lines
 
 
