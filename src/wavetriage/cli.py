@@ -10,6 +10,7 @@ primary output recording inputs, hashes and settings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -71,6 +72,27 @@ def _write_manifest(primary_output, command: str, settings: dict, inputs, output
     replace_text(path, json.dumps(manifest, indent=2, sort_keys=True))
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """Put ``path`` in front of the message of a data error raised while
+    its file is read."""
+    from .extract import ExtractError
+    from .metrics import MetricsError
+
+    try:
+        yield
+    except (ExtractError, MetricsError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError among them
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_json(path, parse=json.loads):
+    """``parse`` of the text of ``path``; its data errors name the file."""
+    with _reading(path):
+        return parse(Path(path).read_text())
+
+
 def _data_errors():
     from . import extract, metrics, models, mutate, orchestrate, ranking, rtl, selection, vcd
 
@@ -116,7 +138,7 @@ def cmd_select(args) -> int:
     from .selection import prune
     from .vcd import list_full_names, parse_header
 
-    table = ModuleLookupTable.from_json(Path(args.tau).read_text())
+    table = _read_json(args.tau, ModuleLookupTable.from_json)
     targets = [t for t in args.targets.split(",") if t]
     with open(args.vcd, "rb") as stream:
         tree = parse_header(stream)
@@ -150,7 +172,7 @@ def cmd_extract(args) -> int:
     from .vcd import list_full_names
 
     tick_cap = _env_override("tick_cap", args.tick_cap, default=DEFAULT_TICK_CAP, cast=int)
-    selection = SelectionReport.from_json(Path(args.selection).read_text())
+    selection = _read_json(args.selection, SelectionReport.from_json)
 
     def select(tree):
         declared = set(list_full_names(tree))
@@ -196,8 +218,8 @@ def cmd_compress(args) -> int:
         meta_path = Path(str(rough_path) + ".meta.json")
         if not meta_path.exists():
             raise ValueError(f"missing sidecar {meta_path} (produced by `extract`)")
-        meta = json.loads(meta_path.read_text())
-        with open(rough_path, "r", encoding="utf-8") as handle:
+        meta = _read_json(meta_path)
+        with open(rough_path, "r", encoding="utf-8") as handle, _reading(rough_path):
             window = read_rough_csv(handle, meta["label"], meta["scenario_id"])
         rows.append(summarize(window, stats))
     dataset = assemble(rows)
@@ -215,11 +237,11 @@ def cmd_train(args) -> int:
     from .selection import SelectionReport
 
     seed = _env_override("seed", args.seed, default=0, cast=int)
-    with open(args.train, "r", encoding="utf-8") as handle:
+    with open(args.train, "r", encoding="utf-8") as handle, _reading(args.train):
         train = read_dataset_csv(handle)
     settings = {"kind": args.kind, "seed": seed}
     if args.selection:
-        report = SelectionReport.from_json(Path(args.selection).read_text())
+        report = _read_json(args.selection, SelectionReport.from_json)
         coverage = {name: owner for name, _, _, owner in report.selected}
         keep_fraction = _env_override(
             "keep_fraction", args.keep_fraction, default=DEFAULT_KEEP_FRACTION, cast=float
@@ -247,7 +269,7 @@ def cmd_eval(args) -> int:
     from .models import load_model
 
     model = load_model(args.model)
-    with open(args.test, "r", encoding="utf-8") as handle:
+    with open(args.test, "r", encoding="utf-8") as handle, _reading(args.test):
         test = read_dataset_csv(handle)
     report = evaluate(model, test)
     out = Path(args.json)
@@ -294,7 +316,7 @@ def _injection(doc: dict, modules, count: int, keys: tuple[str, str]):
 
 
 def cmd_inject(args) -> int:
-    config = json.loads(Path(args.config).read_text())
+    config = _read_json(args.config)
     seed = _env_override("seed", args.seed, config.get("seed"), default=0, cast=int)
     count = args.count if args.count is not None else int(config.get("count", 1))
     inject = _injection(config, config["modules"], count, ("modules", "bug_types"))
@@ -443,12 +465,9 @@ def _coverage_from_design(cfg, dataset) -> dict[str, str]:
 
 
 def cmd_report(args) -> int:
-    from .metrics import MetricsError, reports_from_json
+    from .metrics import MetricsError, ablation_from_json, reports_from_json
 
-    try:
-        reports = reports_from_json(Path(args.metrics).read_text())
-    except MetricsError as exc:
-        raise MetricsError(f"{args.metrics}: {exc}") from None
+    reports = _read_json(args.metrics, reports_from_json)
     if (args.svg or args.confusion_csv) and len(reports) > 1:
         raise MetricsError(
             f"--svg and --confusion-csv draw one report, but {args.metrics} holds "
@@ -470,13 +489,11 @@ def cmd_report(args) -> int:
     for fmt, path in _write_confusion(report, args):
         lines.append(f"  confusion {fmt}  : {path}")
     if args.ablation:
-        doc = json.loads(Path(args.ablation).read_text())
         lines.append("")
         lines.append("tick-cap ablation")
         lines.append("  tick_cap    top1    top3")
-        for entry in sorted(doc, key=lambda e: e["tick_cap"]):
-            m = entry["metrics"]
-            lines.append(f"  {entry['tick_cap']:>8} {m['top1']:>7.3f} {m['top3']:>7.3f}")
+        for tick_cap, top1, top3 in _read_json(args.ablation, ablation_from_json):
+            lines.append(f"  {tick_cap:>8} {top1:>7.3f} {top3:>7.3f}")
     print("\n".join(lines))
     return EXIT_OK
 

@@ -15,7 +15,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -421,7 +421,29 @@ def dataset_csv_sizes(dataset: Dataset) -> tuple[int, list[int]]:
     return header, rows
 
 
+def _records(reader, width: int, parse: Callable[[list[str]], tuple]) -> Iterator[tuple]:
+    """``parse(record)`` for each non-empty record that a CSV ``reader``
+    reads after the header; a record of other than ``width`` fields, or
+    one that ``parse`` rejects with a ValueError, raises ExtractError
+    naming its line."""
+    for record in reader:
+        if not record:
+            continue
+        if len(record) != width:
+            raise ExtractError(
+                f"line {reader.line_num}: {len(record)} fields, but the header has {width}"
+            )
+        try:
+            parsed = parse(record)
+        except ValueError as exc:
+            raise ExtractError(f"line {reader.line_num}: {exc}") from None
+        yield parsed
+
+
 def read_dataset_csv(stream: IO[str]) -> Dataset:
+    """The dataset :func:`write_dataset_csv` wrote; a record with another
+    field count than the header, or a value that is not a number, raises
+    ExtractError naming its line."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if not header or header[:2] != ["scenario_id", "label"]:
@@ -430,12 +452,12 @@ def read_dataset_csv(stream: IO[str]) -> Dataset:
     scenario_ids: list[str] = []
     labels: list[str] = []
     rows: list[list[float]] = []
-    for record in reader:
-        if not record:
-            continue
-        scenario_ids.append(record[0])
-        labels.append(record[1])
-        rows.append([float(v) for v in record[2:]])
+    for scenario_id, label, values in _records(
+        reader, len(header), lambda record: (record[0], record[1], [float(v) for v in record[2:]])
+    ):
+        scenario_ids.append(scenario_id)
+        labels.append(label)
+        rows.append(values)
     matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(feature_names)))
     return Dataset(
         feature_names=feature_names,
@@ -456,15 +478,19 @@ def write_rough_csv(window: WaveWindow, out: IO[str]) -> None:
 
 def read_rough_csv(stream: IO[str], label: str, scenario_id: str) -> WaveWindow:
     """The window :func:`write_rough_csv` wrote; the file holds neither
-    its label nor its scenario id."""
+    its label nor its scenario id. A record with another field count than
+    the header, or a tick or value that is not a number, raises
+    ExtractError naming its line."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if not header or header[0] != "tick":
         raise ExtractError("not a rough CSV: expected a tick,<signals> header")
     ticks, values = [], []
-    for record in reader:
-        ticks.append(int(record[0]))
-        values.append([float(v) for v in record[1:]])
+    for tick, row in _records(
+        reader, len(header), lambda record: (int(record[0]), [float(v) for v in record[1:]])
+    ):
+        ticks.append(tick)
+        values.append(row)
     return WaveWindow(
         matrix=np.asarray(values),
         tick_times=np.asarray(ticks),

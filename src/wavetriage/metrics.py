@@ -24,7 +24,8 @@ class EmptyTest(Exception):
 
 class MetricsError(Exception):
     """A metrics document that lacks a report key, or that holds more
-    reports than the output asked for can draw."""
+    reports than the output asked for can draw, or a tick-cap ablation
+    that lacks a key."""
 
 
 @dataclass
@@ -103,6 +104,30 @@ def reports_from_json(text: str) -> dict[str, MetricsReport]:
         except MetricsError as exc:
             raise MetricsError(f"model kind {kind!r}: {exc}") from None
     return reports
+
+
+def _key(doc, key: str, where: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise MetricsError(f"{where} has no key {key!r}")
+    return doc[key]
+
+
+def ablation_from_json(text: str) -> list[tuple[int, float, float]]:
+    """``(tick_cap, top1, top3)`` of each entry of a tick-cap ablation,
+    ``[{"tick_cap": ..., "metrics": {"top1": ..., "top3": ...}}, ...]``,
+    in tick-cap order; a missing key raises :class:`MetricsError` naming
+    it and its entry."""
+    doc = json.loads(text)
+    if not isinstance(doc, list):
+        raise MetricsError("a tick-cap ablation is a JSON list")
+    rows = []
+    for index, entry in enumerate(doc):
+        where = f"ablation entry {index}"
+        tick_cap = _key(entry, "tick_cap", where)
+        metrics = _key(entry, "metrics", where)
+        where += "'s metrics"
+        rows.append((tick_cap, _key(metrics, "top1", where), _key(metrics, "top3", where)))
+    return sorted(rows, key=lambda row: row[0])
 
 
 def topk_accuracy(probs: np.ndarray, y: np.ndarray, k: int) -> float:

@@ -61,6 +61,23 @@ class NoFailingWaveforms(OrchestrateError):
     pass
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+# a PipelineConfig field's annotation (``X | None`` is checked as ``X``: a
+# null stands for the default) -> the JSON type its value must have
+_JSON_TYPES = {
+    "str": ("a string", lambda value: isinstance(value, str)),
+    "int": ("an integer", lambda value: type(value) is int),
+    "float": ("a number", lambda value: type(value) in (int, float)),
+    "bool": ("true or false", lambda value: type(value) is bool),
+    "dict": ("an object", lambda value: isinstance(value, dict)),
+    "list[str]": ("a list of strings", _strings),
+    "tuple[str, ...]": ("a list of strings", _strings),
+}
+
+
 @dataclass
 class PipelineConfig:
     design_dir: str
@@ -94,10 +111,13 @@ class PipelineConfig:
     @classmethod
     def from_json_file(cls, path) -> "PipelineConfig":
         """The config in a JSON file, where ``null`` stands for a key's
-        default; an unknown key or a missing required one raises ValueError
-        naming it and the file."""
+        default; an unknown key, a missing required one or a value of the
+        wrong JSON type raises ValueError naming the key and the file."""
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            try:
+                doc = json.load(handle)
+            except ValueError as exc:  # json.JSONDecodeError among them
+                raise ValueError(f"{path}: {exc}") from None
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: a pipeline config is a JSON object")
         doc = {key: value for key, value in doc.items() if value is not None}
@@ -110,6 +130,12 @@ class PipelineConfig:
         missing = [name for name, key in known.items() if key.default is MISSING and name not in doc]
         if missing:
             raise ValueError(f"{path}: config key {missing[0]!r} is missing")
+        for name, value in doc.items():
+            expected, fits = _JSON_TYPES[known[name].type.removesuffix(" | None")]
+            if not fits(value):
+                raise ValueError(
+                    f"{path}: config key {name!r} must be {expected}, not {json.dumps(value)}"
+                )
         doc.setdefault("stats", list(DEFAULT_STATS.names))
         doc["stats"] = tuple(doc["stats"])
         if "models" in doc:

@@ -715,3 +715,124 @@ def test_pipeline_config_key_errors_are_exit_2_before_any_stage(corpus, tmp_path
     else:
         assert err == f"error: {cfg_path}: config key 'targets' is missing\n"
     assert not out_dir.exists()
+
+
+def test_pipeline_config_value_of_the_wrong_type_is_exit_2_before_any_stage(corpus, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    cfg_path = pipeline_config(corpus, out_dir, tick_cap="abc")
+    assert run("pipeline", "--config", str(cfg_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg_path}: config key 'tick_cap' must be an integer, not \"abc\"\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+@pytest.fixture(scope="module")
+def stage_files(corpus, tmp_path_factory):
+    """The inputs of every reading command, each written by the command
+    that owns its format: a lookup table, a selection report, rough CSVs
+    with their ``.meta.json``, a dataset CSV, a model and an ablation."""
+    root = tmp_path_factory.mktemp("stage_files")
+    wave, sel = _selected_fixture_waveform(corpus, root)
+    rough = []
+    for k, module in enumerate(corpus.modules[:2]):
+        wave = root / f"{module}.vcd"
+        gen_failing_vcd(corpus, module, ticks=60, seed=1000 + k, out_path=wave)
+        rough.append(root / f"rough_{module}.csv")
+        assert run(
+            "extract", "--vcd", str(wave), "--selection", str(sel), "--label", module,
+            "--scenario-id", f"{module}-0", "--tick-cap", "20", "--rough-csv", str(rough[-1]),
+        ) == 0
+    dataset = root / "dataset.csv"
+    assert run("compress", "--rough-csv", *map(str, rough), "--out", str(dataset)) == 0
+    model = root / "model.bin"
+    assert run("train", "--train", str(dataset), "--kind", "knn", "--out", str(model)) == 0
+    metrics = root / "metrics.json"
+    metrics.write_text(metrics_report().to_json())
+    ablation = root / "ablation.json"
+    ablation.write_text(json.dumps([{"tick_cap": 200, "metrics": {"top1": 0.9, "top3": 0.95}}]))
+    return {
+        "tau": root / "tau.json", "selection": sel, "rough": rough[0], "dataset": dataset,
+        "model": model, "metrics": metrics, "ablation": ablation,
+    }
+
+
+def _stage_command(files, tmp_path, name, path):
+    """The command that reads input ``name`` of ``files``, given ``path``
+    in its place."""
+    files = {"test": files["dataset"], **files, name: path}
+    if name == "meta":
+        files["rough"] = Path(str(path).removesuffix(".meta.json"))
+    out = str(tmp_path / "out")
+    return {
+        "tau": ["select", "--vcd", str(tmp_path / "wave.vcd"), "--tau", str(files["tau"]),
+                "--targets", "m", "--top-module", "soc_top", "--json", out],
+        "selection": ["extract", "--vcd", str(tmp_path / "wave.vcd"), "--selection",
+                      str(files["selection"]), "--label", "m", "--scenario-id", "s",
+                      "--rough-csv", out],
+        "meta": ["compress", "--rough-csv", str(files["rough"]), "--out", out],
+        "rough": ["compress", "--rough-csv", str(files["rough"]), "--out", out],
+        "dataset": ["train", "--train", str(files["dataset"]), "--kind", "knn", "--out", out],
+        "test": ["eval", "--model", str(files["model"]), "--test", str(files["test"]), "--json", out],
+        "metrics": ["report", "--metrics", str(files["metrics"])],
+        "ablation": ["report", "--metrics", str(files["metrics"]), "--ablation", str(files["ablation"])],
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["tau", "selection", "meta", "metrics", "ablation"])
+def test_a_truncated_json_input_is_named_in_its_error(corpus, stage_files, tmp_path, capsys, name):
+    source = Path(str(stage_files["rough"]) + ".meta.json") if name == "meta" else stage_files[name]
+    cut = tmp_path / source.name
+    text = source.read_text()
+    cut.write_text(text[: len(text) // 2])
+    if name == "meta":
+        (tmp_path / stage_files["rough"].name).write_bytes(stage_files["rough"].read_bytes())
+    gen_failing_vcd(corpus, corpus.modules[0], ticks=60, seed=1000, out_path=tmp_path / "wave.vcd")
+    capsys.readouterr()
+    assert run(*_stage_command(stage_files, tmp_path, name, cut)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cut}: "), err
+    assert re.search(r": line \d+ column \d+ \(char \d+\)\n$", err), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["rough", "dataset", "test"])
+@pytest.mark.parametrize("damage", ["cut", "not a number"])
+def test_a_damaged_csv_input_is_named_with_its_line(stage_files, tmp_path, capsys, name, damage):
+    source = stage_files["dataset" if name == "test" else name]
+    lines = source.read_text().splitlines(keepends=True)
+    if damage == "cut":  # cut off in mid-row
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]
+        says = "fields, but the header has"
+    else:
+        fields = lines[-1].split(",")
+        lines[-1] = ",".join([*fields[:-1], "1.0x\n"])
+        says = "could not convert string to float: '1.0x'"
+    damaged = tmp_path / source.name
+    damaged.write_text("".join(lines))
+    if name == "rough":
+        Path(str(damaged) + ".meta.json").write_bytes(Path(str(source) + ".meta.json").read_bytes())
+    capsys.readouterr()
+    assert run(*_stage_command(stage_files, tmp_path, name, damaged)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {damaged}: line {len(lines)}: "), err
+    assert says in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "entry, says",
+    [
+        ({"cap": 200, "metrics": {"top1": 0.9, "top3": 0.95}}, "ablation entry 1 has no key 'tick_cap'"),
+        ({"tick_cap": 200}, "ablation entry 1 has no key 'metrics'"),
+        ({"tick_cap": 200, "metrics": {}}, "ablation entry 1's metrics has no key 'top1'"),
+        ({"tick_cap": 200, "metrics": {"top1": 0.9}}, "ablation entry 1's metrics has no key 'top3'"),
+    ],
+)
+def test_report_names_a_missing_ablation_key_and_the_file(stage_files, tmp_path, capsys, entry, says):
+    path = tmp_path / "ablation.json"
+    good = {"tick_cap": 2000, "metrics": {"top1": 0.93, "top3": 0.99}}
+    path.write_text(json.dumps([good, entry]))
+    capsys.readouterr()
+    assert run("report", "--metrics", str(stage_files["metrics"]), "--ablation", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {path}: {says}\n"

@@ -357,6 +357,33 @@ class TestCsv:
         with pytest.raises(ExtractError, match="not a rough CSV"):
             read_rough_csv(io.StringIO(text), "mod", "s0")
 
+    @pytest.mark.parametrize(
+        "text, says",
+        [
+            ("scenario_id,label,a__mean\ns0,A,1.5\ns1,B\n", "line 3: 2 fields, but the header has 3"),
+            ("scenario_id,label,a__mean\ns0,A,1.5,2\n", "line 2: 4 fields, but the header has 3"),
+            ("scenario_id,label,a__mean\n\ns0,A,1.5e\n", "line 3: could not convert string to float: '1.5e'"),
+            ('scenario_id,label,a__mean\n"s\n0",A,x\n', "line 3: could not convert string to float: 'x'"),
+        ],
+    )
+    def test_read_dataset_csv_names_the_line_of_a_bad_record(self, text, says):
+        with pytest.raises(ExtractError) as info:
+            read_dataset_csv(io.StringIO(text))
+        assert str(info.value) == says
+
+    @pytest.mark.parametrize(
+        "text, says",
+        [
+            ("tick,top.s0,top.s1\n0,1.0,2.0\n1,1.0\n", "line 3: 2 fields, but the header has 3"),
+            ("tick,top.s0\n0.5,1.0\n", "line 2: invalid literal for int() with base 10: '0.5'"),
+            ("tick,top.s0\n0,1.0\n1,one\n", "line 3: could not convert string to float: 'one'"),
+        ],
+    )
+    def test_read_rough_csv_names_the_line_of_a_bad_record(self, text, says):
+        with pytest.raises(ExtractError) as info:
+            read_rough_csv(io.StringIO(text), "mod", "s0")
+        assert str(info.value) == says
+
     def test_dataset_subset_signals(self):
         ds = assemble(
             [

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +220,35 @@ def test_replay_sim_missing_source_leaves_no_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "cwd, manifest, seed, expected",
+    [
+        ("", "d/manifest.json", "0", b"a"),
+        ("d", "manifest.json", "0", b"a"),
+        ("d", "./manifest.json", "0", b"a"),
+        ("", "{root}/d/manifest.json", "0", b"a"),
+        ("d", "../d/manifest.json", "1", b"b"),
+    ],
+)
+def test_replay_sim_resolves_waveforms_and_makes_the_output_directory(tmp_path, cwd, manifest, seed, expected):
+    """A relative waveform path is relative to the manifest's directory, an
+    absolute one is taken as it is, and a missing output directory is made."""
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "a.vcd").write_bytes(b"a")
+    (tmp_path / "b.vcd").write_bytes(b"b")
+    scenarios = {"s": {"vcd": {"0": "a.vcd", "1": str(tmp_path / "b.vcd")}}}
+    (tmp_path / "d" / "manifest.json").write_text(json.dumps({"scenarios": scenarios}))
+    out = tmp_path / "new" / "dir" / "x.vcd"
+    args = [
+        sys.executable, "-I", "-S", str(Path(fixtures.__file__).with_name("replay_sim.py")),
+        "--manifest", manifest.format(root=tmp_path), "--scenario-id", "s", "--seed", seed,
+        "--vcd-out", str(out),
+    ]
+    proc = subprocess.run(args, capture_output=True, cwd=tmp_path / cwd)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == expected
+
+
 def _imported_modules(importtime_stderr: str) -> list[str]:
     return [
         line.rsplit("|", 1)[1].strip()
@@ -229,7 +259,8 @@ def _imported_modules(importtime_stderr: str) -> list[str]:
 
 def test_replay_sim_starts_without_site_or_package_imports(design, tmp_path):
     """Each dispatched job pays one interpreter start: the simulator must
-    not import ``site``, ``shutil`` or the package."""
+    not import ``site``, ``shutil``, ``json`` (with its ``re`` and
+    ``enum``) or the package."""
     scenario_id, expected = _replay_corpus(design)
     out = tmp_path / "replayed.vcd"
     args = _replay_args(design.root, scenario_id, out)
@@ -237,19 +268,96 @@ def test_replay_sim_starts_without_site_or_package_imports(design, tmp_path):
     proc = subprocess.run(args, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     imported = _imported_modules(proc.stderr)
-    assert "json" in imported  # the report was written
+    assert "_json" in imported  # the report was written
     assert "site" not in imported
-    assert [m for m in imported if m == "shutil" or m.split(".")[0] == "wavetriage"] == []
+    banned = {"shutil", "json", "re", "enum", "wavetriage"}
+    assert [m for m in imported if m.split(".")[0] in banned] == []
     assert out.read_bytes() == expected
 
 
+@pytest.mark.parametrize(
+    "manifest, says",
+    [
+        (b"", b"Expecting value: line 1 column 1 (char 0)"),
+        (b'{"scenarios": {"s": {"vcd": "w.vcd"}}} {}', b"Extra data: line 1 column 40"),
+        (b'{"scenarios": {"s": {"vcd": "w.vcd"', b"Expecting ',' delimiter"),
+        (b'{"scenarios": {"s": {"vcd": "w.vc', b"Unterminated string starting at"),
+        (b'{"scenarios": {"s": {"vcd": "\\xw.vcd"}}}', b"Invalid \\escape"),
+        (b"\xff{}", b"codec can't decode byte 0xff"),
+        (b"[]", b"no 'scenarios' object"),
+        (b'{"scenarios": ["s"]}', b"no 'scenarios' object"),
+        (b'{"scenarios": {"s": "w.vcd"}}', b"scenario 's' is not an object with a 'vcd'"),
+        (b'{"scenarios": {"s": {"path": "w.vcd"}}}', b"scenario 's' is not an object with a 'vcd'"),
+        (b'{"scenarios": {"s": {"vcd": "w.vcd", "sim_latency": "soon"}}}', b"'soon'"),
+    ],
+)
+def test_replay_sim_bad_manifest_exits_2_naming_it(tmp_path, manifest, says):
+    """A manifest the simulator cannot read is a data error naming the file,
+    not a traceback, and leaves no output behind."""
+    (tmp_path / "w.vcd").write_bytes(b"$enddefinitions $end\n")
+    path = tmp_path / "manifest.json"
+    path.write_bytes(manifest)
+    out = tmp_path / "out" / "x.vcd"
+    proc = subprocess.run(_replay_args(tmp_path, "s", out), capture_output=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"replay_sim: {path}: ".encode()), proc.stderr
+    assert says in proc.stderr and b"Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+_LOAD_CASES = {
+    "per-seed vcd": '{"scenarios": {"s": {"vcd": {"0": "a.vcd", "1": "b.vcd"}, "sim_latency": 0.5}}}',
+    "whitespace around": ' \t\r\n{"scenarios": {}}\n\t ',
+    "constants and overflow": "[NaN, Infinity, -Infinity, 1e400, -0.0, 12, 1.5e-3]",
+    "escapes": '"\\u00e9\\ud83d\\ude00\\ud800\\n\\""',
+    "trailing data": '{"scenarios": {}} {}',
+    "bom": '\ufeff{"scenarios": {}}',
+    "empty": "",
+    "whitespace only": " \n",
+    "form feed is not whitespace": "\x0c{}",
+    "truncated in a string": '{"scenarios": {"s": {"vcd": "a.vc',
+    "truncated after a value": '{"scenarios": {"s": {"vcd": "a.vcd"',
+    "control character in a string": '"a\x01"',
+    "trailing comma": '{"a": [1,]}',
+    "leading zero": "01",
+}
+
+
+def _load_outcome(load, text):
+    try:
+        return "value", repr(load(text))
+    except ValueError as exc:
+        return "rejected", str(exc)
+
+
+@pytest.mark.parametrize("case", ["materialized manifest", *_LOAD_CASES])
+def test_replay_sim_load_matches_json_loads(design, case):
+    """The simulator's manifest parser returns what ``json.loads`` returns
+    and rejects what it rejects, with the same message (``json.loads``
+    alone words its BOM error differently)."""
+    from wavetriage.replay_sim import _load
+
+    if case == "materialized manifest":
+        scenarios = build_scenarios(design, train_per_module=1, test_per_module=1, seed=2)
+        text = materialize_corpus(design, scenarios, ticks=60).read_text()
+    else:
+        text = _LOAD_CASES[case]
+    ours, theirs = _load_outcome(_load, text), _load_outcome(json.loads, text)
+    if case == "bom":
+        assert ours[0] == theirs[0] == "rejected"
+    else:
+        assert ours == theirs
+
+
 def test_replay_sim_is_isolated_from_the_callers_environment(design, tmp_path):
-    """A ``PYTHONPATH`` and working directory that shadow ``json`` and add a
-    failing ``sitecustomize`` break a plain interpreter, not the simulator."""
+    """A ``PYTHONPATH`` and working directory that shadow ``json`` and
+    ``_json`` and add a failing ``sitecustomize`` break a plain
+    interpreter, not the simulator."""
     scenario_id, expected = _replay_corpus(design)
     trap = tmp_path / "trap"
     trap.mkdir()
-    (trap / "json.py").write_text("raise RuntimeError('shadowing json was imported')\n")
+    for name in ("json", "_json"):
+        (trap / f"{name}.py").write_text(f"raise RuntimeError('shadowing {name} was imported')\n")
     (trap / "sitecustomize.py").write_text("import sys\nsys.exit(3)\n")
     env = {**os.environ, "PYTHONPATH": str(trap)}
     plain = subprocess.run([sys.executable, "-c", "import json"], env=env, cwd=trap, capture_output=True)

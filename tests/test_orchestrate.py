@@ -273,6 +273,51 @@ def test_config_null_values_stand_for_defaults(tmp_path, corpus):
     assert cfg == default
 
 
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("tick_cap", "abc", "an integer"),
+        ("tick_cap", True, "an integer"),
+        ("tick_cap", 2.0, "an integer"),
+        ("keep_fraction", "0.5", "a number"),
+        ("reduce", 1, "true or false"),
+        ("targets", "a", "a list of strings"),
+        ("models", ["knn", 3], "a list of strings"),
+        ("dut_root", 0, "a string"),
+        ("injection", [], "an object"),
+    ],
+)
+def test_config_value_of_the_wrong_json_type_is_named(tmp_path, key, value, expected):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"design_dir": "d", "targets": ["a"], "top_module": "t", key: value}))
+    with pytest.raises(ValueError) as info:
+        PipelineConfig.from_json_file(path)
+    assert str(info.value) == f"{path}: config key {key!r} must be {expected}, not {json.dumps(value)}"
+
+
+def test_config_json_type_of_every_field(tmp_path):
+    """Every field has a JSON type that ``from_json_file`` checks, and a
+    float field takes an integer."""
+    from dataclasses import fields
+
+    from wavetriage.orchestrate import _JSON_TYPES
+
+    assert [f.name for f in fields(PipelineConfig) if f.type.removesuffix(" | None") not in _JSON_TYPES] == []
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        json.dumps({"design_dir": "d", "targets": ["a"], "top_module": "t", "keep_fraction": 1, "sim_timeout": 5})
+    )
+    cfg = PipelineConfig.from_json_file(path)
+    assert (cfg.keep_fraction, cfg.sim_timeout) == (1, 5)
+
+
+def test_config_truncated_file_is_named(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"design_dir": "d", "targ')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Unterminated string starting at"):
+        PipelineConfig.from_json_file(path)
+
+
 def test_reseeds_produce_multiple_rows(corpus, tmp_path):
     cfg = config_for(corpus, tmp_path, reseed_count=2)
     jobs = scenario_jobs(cfg, tmp_path / "scratch", "test", 1)[:2]
