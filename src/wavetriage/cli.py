@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import hashlib
 import json
 import os
-import shutil
 import sys
 from pathlib import Path
 
 from . import __version__
-from .sysio import rendered, replace_text
+from .sysio import json_key, rendered, replace_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,16 +37,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _env_override(name: str, flag_value, config_value=None, default=None, cast=str):
-    """Precedence: flag > environment > config > default."""
+def _env_override(name: str, flag_value, default=None, cast=str):
+    """Precedence: flag > environment > default; a value ``cast`` rejects names its variable."""
     if flag_value is not None:
         return flag_value
-    env = os.environ.get(_ENV_PREFIX + name.upper())
-    if env is not None:
+    variable = _ENV_PREFIX + name.upper()
+    env = os.environ.get(variable)
+    if env is None:
+        return default
+    try:
         return cast(env)
-    if config_value is not None:
-        return config_value
-    return default
+    except ValueError as exc:
+        raise ValueError(f"environment variable {variable}: {exc}") from None
 
 
 def _sha256_file(path) -> str:
@@ -105,9 +105,8 @@ def _data_errors():
         metrics.EmptyTest,
         metrics.MetricsError,
         ranking.CoverageGap,
-        mutate.MutateError,
-        orchestrate.NoFailingWaveforms,
-        orchestrate.ScratchCollision,
+        mutate.MutateError,  # CommandNotFound among them is caught first, as external
+        orchestrate.OrchestrateError,  # SimulatorNotFound likewise
         ValueError,
         FileNotFoundError,
     )
@@ -219,8 +218,10 @@ def cmd_compress(args) -> int:
         if not meta_path.exists():
             raise ValueError(f"missing sidecar {meta_path} (produced by `extract`)")
         meta = _read_json(meta_path)
+        with _reading(meta_path):
+            label, scenario_id = (json_key(meta, k, "rough CSV sidecar") for k in ("label", "scenario_id"))
         with open(rough_path, "r", encoding="utf-8") as handle, _reading(rough_path):
-            window = read_rough_csv(handle, meta["label"], meta["scenario_id"])
+            window = read_rough_csv(handle, label, scenario_id)
         rows.append(summarize(window, stats))
     dataset = assemble(rows)
     out = Path(args.out)
@@ -293,34 +294,16 @@ def _write_confusion(report, args) -> list[tuple[str, str]]:
     return written
 
 
-def _injection(doc: dict, modules, count: int, keys: tuple[str, str]):
-    """``mutate.inject_batch`` bound to the checked settings of ``inject``'s
-    config or ``pipeline``'s ``injection`` object; ``keys`` name the config
-    keys of ``modules`` and the bug types in errors."""
-    from . import mutate
-
-    bug_types = doc.get("bug_types", mutate.BUG_TYPES)
-    for key, entries in zip(keys, (modules, bug_types)):
-        if count > 0 and not entries:
-            raise ValueError(f"config key {key!r} is empty but {count} scenario(s) were requested")
-    return functools.partial(
-        mutate.inject_batch,
-        modules=modules,
-        bug_types=bug_types,
-        count=count,
-        check=mutate.CheckCommands.from_dict(doc["check"]),
-        cache_path=doc.get("cache"),
-        failure_log_path=doc.get("failure_log"),
-        max_attempts=int(doc.get("max_attempts", 5)),
-    )
-
-
 def cmd_inject(args) -> int:
+    from .mutate import batch_from_config
+
     config = _read_json(args.config)
-    seed = _env_override("seed", args.seed, config.get("seed"), default=0, cast=int)
+    seed = _env_override("seed", args.seed, default=config.get("seed") or 0, cast=int)
     count = args.count if args.count is not None else int(config.get("count", 1))
-    inject = _injection(config, config["modules"], count, ("modules", "bug_types"))
-    batch = inject(config["design_dir"], seed_base=seed * 1_000_003, keep_applied=args.keep_applied)
+    with _reading(args.config):
+        inject = batch_from_config(config, count)
+        design_dir = json_key(config, "design_dir", "config")
+    batch = inject(design_dir, seed_base=seed * 1_000_003, keep_applied=args.keep_applied)
     results = [
         {
             "scenario_id": scenario.scenario_id,
@@ -347,7 +330,7 @@ def cmd_inject(args) -> int:
     return EXIT_OK
 
 
-# (config field, flag dest, which also names the WAVETRIAGE_* variable, type)
+# (config key, flag dest, which also names the WAVETRIAGE_* variable, type)
 _PIPELINE_OVERRIDES = (
     ("worker_count", "workers", int),
     ("tick_cap", "tick_cap", int),
@@ -358,44 +341,36 @@ _PIPELINE_OVERRIDES = (
 
 
 def cmd_pipeline(args) -> int:
-    from . import mutate
-    from .extract import write_dataset_csv
-    from .metrics import evaluate
-    from .models import fit, save_model
-    from .orchestrate import PipelineConfig, StageSizeReport, dispatch, run_data_pipeline, scenario_jobs
+    from .orchestrate import PipelineConfig, run_pipeline
 
-    cfg = PipelineConfig.from_json_file(args.config)
-    for field, dest, cast in _PIPELINE_OVERRIDES:
-        setattr(cfg, field, _env_override(dest, getattr(args, dest), getattr(cfg, field), cast=cast))
+    overrides = {}
+    for key, dest, cast in _PIPELINE_OVERRIDES:
+        flag = getattr(args, dest)
+        value = _env_override(dest, flag, cast=cast)
+        if value is not None:
+            source = "--" + dest.replace("_", "-") if flag is not None else _ENV_PREFIX + dest.upper()
+            overrides[key] = (value, source)
     if args.stats:
-        cfg.stats = tuple(s.strip() for s in args.stats.split(",") if s.strip())
-    cfg.require_simulator()
-    inj = cfg.injection or {}
-    if inj.get("enabled"):
-        count = int(inj.get("count", len(cfg.targets)))
-        inject = _injection(inj, cfg.targets, count, ("targets", "injection.bug_types"))
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    scratch = out_dir / "scratch"
+        overrides["stats"] = ([s.strip() for s in args.stats.split(",") if s.strip()], "--stats")
+    cfg = PipelineConfig.from_json_file(args.config, overrides)
+    outputs = run_pipeline(cfg, _pipeline_line)
+    _write_manifest(
+        outputs[0],
+        "pipeline",
+        {"config": str(args.config), "seed": cfg.seed, "workers": cfg.worker_count, "tick_cap": cfg.tick_cap},
+        [args.config],
+        outputs,
+    )
+    return EXIT_OK
 
-    if inj.get("enabled"):
-        # mutate a scratch copy; dispatch still simulates cfg.design_dir
-        scratch_design = scratch / "design"
-        if scratch_design.exists():
-            shutil.rmtree(scratch_design)
-        shutil.copytree(cfg.design_dir, scratch_design)
-        batch = inject(scratch_design, seed_base=cfg.seed * 7_919)
-        accepted = sum(s.status == mutate.STATUS_ACCEPTED for _, _, s in batch)
-        print(f"injection: {accepted}/{count} scenario(s) accepted (cached)")
 
-    datasets = {}
-    report_total = StageSizeReport()
-    for split, per_module in (("train", cfg.train_per_module), ("test", cfg.test_per_module)):
-        jobs = scenario_jobs(cfg, scratch / split, split, per_module)
-        results = dispatch(jobs, cfg)
-        done = [r for r in results if r.status == "done"]
-        failed = [r for r in results if r.status != "done"]
-        if failed:
+def _pipeline_line(*step) -> None:
+    """Print the line of one step of ``orchestrate.run_pipeline``: a result
+    on stdout, the first failed job of a split on stderr."""
+    match step:
+        case ("injection", accepted, count):
+            print(f"injection: {accepted}/{count} scenario(s) accepted (cached)")
+        case ("failed", split, failed):
             first = failed[0]
             outcome = "timed out" if first.timed_out else f"exit code {first.returncode}"
             print(
@@ -403,65 +378,10 @@ def cmd_pipeline(args) -> int:
                 f"{first.scenario_id} ({outcome}), stderr tail:\n{first.stderr_tail.rstrip()}",
                 file=sys.stderr,
             )
-        dataset, report = run_data_pipeline(done, cfg)
-        datasets[split] = dataset
-        report_total.merge(report)
-        csv_path = out_dir / f"{split}.csv"
-        replace_text(csv_path, rendered(write_dataset_csv, dataset))
-        print(f"{split}: {len(dataset)} rows x {len(dataset.feature_names)} features -> {csv_path}")
-
-    replace_text(out_dir / "stage_sizes.json", report_total.to_json())
-
-    train = datasets["train"]
-    if cfg.reduce:
-        from .ranking import history_json, reduce_signals
-
-        coverage = _coverage_from_design(cfg, train)
-        train, history = reduce_signals(
-            train,
-            coverage,
-            keep_fraction=cfg.keep_fraction,
-            max_signals=cfg.max_signals,
-            seed=cfg.seed,
-        )
-        replace_text(out_dir / "reduction_history.json", history_json(history, coverage))
-
-    metrics_doc = {}
-    for kind in cfg.models:
-        model = fit(kind, train, seed=cfg.seed)
-        save_model(model, out_dir / f"model_{kind}.bin")
-        report = evaluate(model, datasets["test"])
-        metrics_doc[kind] = report.to_dict()
-        print(f"{kind}: {report.summary()}")
-    metrics_path = out_dir / "metrics.json"
-    replace_text(metrics_path, json.dumps(metrics_doc, indent=2))
-    _write_manifest(
-        metrics_path,
-        "pipeline",
-        {"config": str(args.config), "seed": cfg.seed, "workers": cfg.worker_count, "tick_cap": cfg.tick_cap},
-        [args.config],
-        [metrics_path, out_dir / "stage_sizes.json"],
-    )
-    return EXIT_OK
-
-
-def _coverage_from_design(cfg, dataset) -> dict[str, str]:
-    """signal -> owning target for every signal of ``dataset``, from pruning
-    its own signal names against the design (``prune`` decides on the full
-    name alone)."""
-    from .orchestrate import design_table
-    from .rtl import signals_for_targets
-    from .selection import prune
-
-    table = design_table(cfg.design_dir)
-    report = prune(
-        [(name, "", 0) for name in dataset.signal_names()],
-        signals_for_targets(table, cfg.targets),
-        table.instances,
-        top_module=cfg.top_module,
-        dut_root=cfg.dut_root,
-    )
-    return {name: owner for name, _, _, owner in report.selected}
+        case ("dataset", split, dataset, csv_path):
+            print(f"{split}: {len(dataset)} rows x {len(dataset.feature_names)} features -> {csv_path}")
+        case ("model", kind, report):
+            print(f"{kind}: {report.summary()}")
 
 
 def cmd_report(args) -> int:

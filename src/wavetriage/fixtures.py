@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import vcd
-from .rtl import DesignSources, scan_sources
+from .rtl import DesignSources, UnknownModule, scan_sources
 from .sysio import replace_file
 
 MODULE_POOL = (
@@ -51,14 +51,6 @@ DIFFICULTY_SCALE = {"easy": 1.0, "medium": 0.5, "hard": 0.25, "impossible": 0.0}
 # Per-instance signals emitted into waveforms (keeps desk-scale dumps small;
 # the remaining declared signals still exist for mutation sites).
 _DUMPED_LEAF_SIGNALS = ("clk", "rst_n", "din", "dout", "_acc_q", "_state_q", "_shift_q", "busy_w")
-
-
-class FixtureError(Exception):
-    pass
-
-
-class UnknownModule(FixtureError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .extract import Dataset
 from .models import ClassifierModel
+from .sysio import json_key
 
 
 class EmptyTest(Exception):
@@ -58,21 +59,10 @@ class MetricsReport:
     def from_dict(cls, doc) -> "MetricsReport":
         """The report :meth:`to_dict` wrote; a missing key raises
         :class:`MetricsError` naming it."""
-        if not isinstance(doc, dict):
-            raise MetricsError("a metrics report is a JSON object")
-        for key in fields(cls):
-            if key.name not in doc:
-                raise MetricsError(f"metrics report has no key {key.name!r}")
-        return cls(
-            top1=doc["top1"],
-            top3=doc["top3"],
-            macro_f1=doc["macro_f1"],
-            macro_tpr=doc["macro_tpr"],
-            macro_fpr=doc["macro_fpr"],
-            auc_roc_macro=doc["auc_roc_macro"],
-            confusion=np.asarray(doc["confusion"], dtype=np.int64),
-            classes=list(doc["classes"]),
-        )
+        values = {key.name: json_key(doc, key.name, "metrics report", MetricsError) for key in fields(cls)}
+        values["confusion"] = np.asarray(values["confusion"], dtype=np.int64)
+        values["classes"] = list(values["classes"])
+        return cls(**values)
 
     def summary(self) -> str:
         """The one-line result that ``eval`` and ``pipeline`` print."""
@@ -106,12 +96,6 @@ def reports_from_json(text: str) -> dict[str, MetricsReport]:
     return reports
 
 
-def _key(doc, key: str, where: str):
-    if not isinstance(doc, dict) or key not in doc:
-        raise MetricsError(f"{where} has no key {key!r}")
-    return doc[key]
-
-
 def ablation_from_json(text: str) -> list[tuple[int, float, float]]:
     """``(tick_cap, top1, top3)`` of each entry of a tick-cap ablation,
     ``[{"tick_cap": ..., "metrics": {"top1": ..., "top3": ...}}, ...]``,
@@ -123,10 +107,9 @@ def ablation_from_json(text: str) -> list[tuple[int, float, float]]:
     rows = []
     for index, entry in enumerate(doc):
         where = f"ablation entry {index}"
-        tick_cap = _key(entry, "tick_cap", where)
-        metrics = _key(entry, "metrics", where)
-        where += "'s metrics"
-        rows.append((tick_cap, _key(metrics, "top1", where), _key(metrics, "top3", where)))
+        tick_cap, metrics = (json_key(entry, key, where, MetricsError) for key in ("tick_cap", "metrics"))
+        top1, top3 = (json_key(metrics, key, f"{where}'s metrics", MetricsError) for key in ("top1", "top3"))
+        rows.append((tick_cap, top1, top3))
     return sorted(rows, key=lambda row: row[0])
 
 

@@ -20,6 +20,7 @@ directory; the ``inject`` and ``pipeline`` commands both use it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 
 from . import rtl
 from .rtl import ModuleLookupTable, Token, UnknownModule, is_identifier
-from .sysio import replace_file, run_template
+from .sysio import json_key, replace_file, run_template
 
 BUG_TYPES = (
     "missing_assignment",
@@ -124,13 +125,38 @@ class CheckCommands:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CheckCommands":
-        """From a config's ``check`` object; ``timeout`` and ``vcd_out`` are optional."""
+        """From a config's ``check`` object; ``timeout`` and ``vcd_out`` are
+        optional, and a missing key raises ValueError naming it."""
         return cls(
-            compile=doc["compile"],
-            test=doc["test"],
+            compile=json_key(doc, "compile", "check object"),
+            test=json_key(doc, "test", "check object"),
             timeout=float(doc.get("timeout", 60.0)),
             vcd_out=doc.get("vcd_out"),
         )
+
+
+def batch_from_config(doc: dict, count: int, targets=None):
+    """:func:`inject_batch` bound to the checked settings of ``inject``'s
+    config, or of ``pipeline``'s ``injection`` object when ``targets``, that
+    config's key, names the modules. A missing key, or an empty list where
+    ``count`` asks for scenarios, raises ValueError naming the key."""
+    where, prefix = ("config", "") if targets is None else ("config key 'injection'", "injection.")
+    lists = {"modules": json_key(doc, "modules", where)} if targets is None else {"targets": targets}
+    lists[prefix + "bug_types"] = doc.get("bug_types", BUG_TYPES)
+    for key, entries in lists.items():
+        if count > 0 and not entries:
+            raise ValueError(f"config key {key!r} is empty but {count} scenario(s) were requested")
+    modules, bug_types = lists.values()
+    return functools.partial(
+        inject_batch,
+        modules=modules,
+        bug_types=bug_types,
+        count=count,
+        check=CheckCommands.from_dict(json_key(doc, "check", where)),
+        cache_path=doc.get("cache"),
+        failure_log_path=doc.get("failure_log"),
+        max_attempts=int(doc.get("max_attempts", 5)),
+    )
 
 
 def _sha256(text: str) -> str:
@@ -594,32 +620,18 @@ def run_scenario(
 
     try:
         rc, timed_out = _run_check(check.compile, design_dir, scenario_id, check.timeout)
-        if timed_out or rc != 0:
-            scenario.status = (
-                STATUS_REJECTED_INEFFECTIVE if timed_out else STATUS_REJECTED_SYNTAX
-            )
-            _log_failure(failure_log_path, scenario_id, specs, "timeout" if timed_out else "syntax")
+        reason = "timeout" if timed_out else "syntax" if rc != 0 else None
+        if reason is None:
+            rc, timed_out = _run_check(check.test, design_dir, scenario_id, check.timeout)
+            reason = "timeout" if timed_out else "ineffective" if rc == 0 else None
+        if reason is None and check.vcd_out is not None:
+            artifact = Path(check.vcd_out.format(design_dir=str(design_dir), scenario_id=scenario_id))
+            reason = None if artifact.exists() else "no waveform"
+        if reason is not None:
+            scenario.status = STATUS_REJECTED_SYNTAX if reason == "syntax" else STATUS_REJECTED_INEFFECTIVE
+            _log_failure(failure_log_path, scenario_id, specs, reason)
             revert_all(records, design_dir)
             return scenario
-
-        rc, timed_out = _run_check(check.test, design_dir, scenario_id, check.timeout)
-        if timed_out or rc == 0:
-            scenario.status = STATUS_REJECTED_INEFFECTIVE
-            _log_failure(
-                failure_log_path, scenario_id, specs, "timeout" if timed_out else "ineffective"
-            )
-            revert_all(records, design_dir)
-            return scenario
-
-        if check.vcd_out is not None:
-            artifact = Path(
-                check.vcd_out.format(design_dir=str(design_dir), scenario_id=scenario_id)
-            )
-            if not artifact.exists():
-                scenario.status = STATUS_REJECTED_INEFFECTIVE
-                _log_failure(failure_log_path, scenario_id, specs, "no waveform")
-                revert_all(records, design_dir)
-                return scenario
     except BaseException:  # a missing or empty check command, or an interrupt
         revert_all(records, design_dir)
         raise

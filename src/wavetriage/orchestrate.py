@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
+from . import metrics, models, mutate, ranking
 from .extract import (
     DEFAULT_STATS,
     DEFAULT_TICK_CAP,
@@ -32,10 +34,9 @@ from .extract import (
     sample_window,
     standardize,
     summarize,
-    write_dataset_csv,  # noqa: F401 - bench/tracing.py patches this name here
+    write_dataset_csv,
     write_rough_csv,
 )
-from .ranking import DEFAULT_KEEP_FRACTION, DEFAULT_MAX_SIGNALS
 from .rtl import DesignSources, ModuleLookupTable, scan_sources, signals_for_targets
 from .selection import SelectionError, prune
 from .sysio import rendered, replace_text, run_template
@@ -94,25 +95,20 @@ class PipelineConfig:
     retry_limit: int = 2
     seed: int = 0
     stats: tuple[str, ...] = DEFAULT_STATS.names
-    keep_fraction: float = DEFAULT_KEEP_FRACTION
-    max_signals: int = DEFAULT_MAX_SIGNALS
+    keep_fraction: float = ranking.DEFAULT_KEEP_FRACTION
+    max_signals: int = ranking.DEFAULT_MAX_SIGNALS
     reduce: bool = False
     models: tuple[str, ...] = ("gbt", "random_forest", "knn")
     keep_rough: bool = False
     out_dir: str = "out"
     injection: dict | None = None
 
-    def __post_init__(self):
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
-        if self.reseed_count < 1:
-            raise ValueError("reseed_count must be >= 1")
-
     @classmethod
-    def from_json_file(cls, path) -> "PipelineConfig":
+    def from_json_file(cls, path, overrides=None) -> "PipelineConfig":
         """The config in a JSON file, where ``null`` stands for a key's
-        default; an unknown key, a missing required one or a value of the
-        wrong JSON type raises ValueError naming the key and the file."""
+        default, with ``overrides`` (``{key: (value, source)}``: a flag's or
+        an environment variable's value) in place of the file's. A bad key
+        or value raises ValueError naming the key and the file or source."""
         with open(path, "r", encoding="utf-8") as handle:
             try:
                 doc = json.load(handle)
@@ -121,6 +117,9 @@ class PipelineConfig:
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: a pipeline config is a JSON object")
         doc = {key: value for key, value in doc.items() if value is not None}
+        where = dict.fromkeys(doc, path)
+        for key, (value, source) in (overrides or {}).items():
+            doc[key], where[key] = value, source
         known = {key.name: key for key in fields(cls)}
         unknown = sorted(set(doc) - set(known))
         if unknown:
@@ -130,22 +129,48 @@ class PipelineConfig:
         missing = [name for name, key in known.items() if key.default is MISSING and name not in doc]
         if missing:
             raise ValueError(f"{path}: config key {missing[0]!r} is missing")
+
+        def bad(name, says):
+            return ValueError(f"{where[name]}: config key {name!r} {says}")
+
         for name, value in doc.items():
             expected, fits = _JSON_TYPES[known[name].type.removesuffix(" | None")]
             if not fits(value):
-                raise ValueError(
-                    f"{path}: config key {name!r} must be {expected}, not {json.dumps(value)}"
-                )
-        doc.setdefault("stats", list(DEFAULT_STATS.names))
-        doc["stats"] = tuple(doc["stats"])
-        if "models" in doc:
-            doc["models"] = tuple(doc["models"])
-        return cls(**doc)
+                raise bad(name, f"must be {expected}, not {json.dumps(value)}")
+        for name in ("tick_cap", "worker_count", "reseed_count"):
+            if doc.get(name, 1) < 1:
+                raise bad(name, f"must be >= 1, not {doc[name]}")
+        for name in ("stats", "models"):
+            if name in doc:
+                doc[name] = tuple(doc[name])
+        try:
+            StatSet(doc.get("stats", DEFAULT_STATS.names))
+        except ValueError as exc:
+            raise bad("stats", f"is not a stat set: {exc}") from None
+        unknown = [kind for kind in doc.get("models", ()) if kind not in models.MODEL_KINDS]
+        if unknown:
+            known_kinds = ", ".join(models.MODEL_KINDS)
+            raise bad("models", f"names unknown model kind {unknown[0]!r}; known: {known_kinds}")
+        cfg = cls(**doc)
+        try:
+            _injection(cfg)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return cfg
 
     def require_simulator(self) -> None:
         """Raise ValueError when no simulator command is configured."""
         if not self.simulator.strip():
             raise ValueError("config key 'simulator' is empty: no simulator command to run")
+
+
+def _injection(cfg: PipelineConfig):
+    """:func:`mutate.inject_batch` bound to the checked settings of the
+    ``injection`` object, or None when injection is not enabled."""
+    inj = cfg.injection or {}
+    if not inj.get("enabled"):
+        return None
+    return mutate.batch_from_config(inj, int(inj.get("count", len(cfg.targets))), cfg.targets)
 
 
 @dataclass
@@ -169,9 +194,6 @@ class JobResult:
     returncode: int | None = None  # None when it timed out
     timed_out: bool = False
     stderr_tail: str = ""  # last STDERR_TAIL_BYTES of its stderr
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def scenario_jobs(cfg: PipelineConfig, scratch_root, split: str, per_module: int) -> list[ScenarioJob]:
@@ -255,11 +277,8 @@ def dispatch(jobs: Sequence[ScenarioJob], cfg: PipelineConfig) -> list[JobResult
             raise ScratchCollision(f"two jobs share scratch dir {key}")
         seen.add(key)
 
-    if cfg.worker_count == 1:
-        results = [_run_one_job(job, cfg) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.worker_count) as pool:
-            results = list(pool.map(lambda j: _run_one_job(j, cfg), jobs))
+    with ThreadPoolExecutor(max_workers=cfg.worker_count) as pool:
+        results = list(pool.map(lambda j: _run_one_job(j, cfg), jobs))
     return sorted(results, key=lambda r: r.scenario_id)
 
 
@@ -372,44 +391,34 @@ def run_data_pipeline(
     rows by (scenario id, reseed index) so the final CSV is byte-identical
     for any worker count.
     """
-    work = []
+    table = design_table(cfg.design_dir)
+    target_signals = {m: sorted(v) for m, v in signals_for_targets(table, cfg.targets).items()}
+    rough_dir = Path(cfg.out_dir) / "rough" if cfg.keep_rough else None
+    payloads = []
     raw_bytes = 0
     for result in sorted(done_jobs, key=lambda r: r.scenario_id):
         if result.status != "done":
             continue
         for k, path in enumerate(result.vcd_paths):
             raw_bytes += Path(path).stat().st_size
-            work.append((result, k, path))
-    if not work:
-        raise NoFailingWaveforms("no completed jobs with failing waveforms")
-
-    table = design_table(cfg.design_dir)
-    target_signals = {m: sorted(v) for m, v in signals_for_targets(table, cfg.targets).items()}
-
-    rough_dir = None
-    if cfg.keep_rough:
-        rough_dir = Path(cfg.out_dir) / "rough"
-        rough_dir.mkdir(parents=True, exist_ok=True)
-
-    payloads = []
-    for result, k, path in work:
-        rough_out = (
-            str(rough_dir / f"{result.scenario_id}_{k:02d}.csv") if rough_dir else None
-        )
-        payloads.append(
-            (
-                path,
-                result.label,
-                f"{result.scenario_id}#{k:02d}" if result.vcd_paths[1:] else result.scenario_id,
-                target_signals,
-                table.instances,
-                cfg.top_module,
-                cfg.dut_root,
-                cfg.tick_cap,
-                tuple(cfg.stats),
-                rough_out,
+            payloads.append(
+                (
+                    path,
+                    result.label,
+                    f"{result.scenario_id}#{k:02d}" if result.vcd_paths[1:] else result.scenario_id,
+                    target_signals,
+                    table.instances,
+                    cfg.top_module,
+                    cfg.dut_root,
+                    cfg.tick_cap,
+                    tuple(cfg.stats),
+                    str(rough_dir / f"{result.scenario_id}_{k:02d}.csv") if rough_dir else None,
+                )
             )
-        )
+    if not payloads:
+        raise NoFailingWaveforms("no completed jobs with failing waveforms")
+    if rough_dir:
+        rough_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg.worker_count == 1 or len(payloads) < 4:
         outputs = [_process_waveform(p) for p in payloads]
@@ -436,3 +445,75 @@ def run_data_pipeline(
     report.final = header + sum(row_sizes)
     report.compressed = report.final + (len(scenarios) - 1) * header
     return dataset, report
+
+
+def _coverage_from_design(cfg: PipelineConfig, dataset: Dataset) -> dict[str, str]:
+    """signal -> owning target for every signal of ``dataset``, from pruning
+    its own signal names against the design (``prune`` decides on the full
+    name alone)."""
+    table = design_table(cfg.design_dir)
+    report = prune(
+        [(name, "", 0) for name in dataset.signal_names()],
+        signals_for_targets(table, cfg.targets),
+        table.instances,
+        top_module=cfg.top_module,
+        dut_root=cfg.dut_root,
+    )
+    return {name: owner for name, _, _, owner in report.selected}
+
+
+def run_pipeline(cfg: PipelineConfig, on_step) -> list[Path]:
+    """Check the simulator and injection settings, then run ``pipeline``'s
+    stages into ``cfg.out_dir``; return the metrics and stage-size paths.
+    ``on_step`` hears of each step as it ends: ``("injection", accepted,
+    count)``, ``("failed", split, failed_jobs)`` before that split's
+    extraction, ``("dataset", split, dataset, csv_path)``, ``("model",
+    kind, report)``."""
+    cfg.require_simulator()
+    inject = _injection(cfg)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    scratch = out_dir / "scratch"
+
+    if inject is not None:
+        # mutate a scratch copy; dispatch still simulates cfg.design_dir
+        scratch_design = scratch / "design"
+        if scratch_design.exists():
+            shutil.rmtree(scratch_design)
+        shutil.copytree(cfg.design_dir, scratch_design)
+        batch = inject(scratch_design, seed_base=cfg.seed * 7_919)
+        on_step("injection", sum(s.status == mutate.STATUS_ACCEPTED for _, _, s in batch), len(batch))
+
+    datasets = {}
+    sizes = StageSizeReport()
+    for split, per_module in (("train", cfg.train_per_module), ("test", cfg.test_per_module)):
+        results = dispatch(scenario_jobs(cfg, scratch / split, split, per_module), cfg)
+        failed = [r for r in results if r.status != "done"]
+        if failed:
+            on_step("failed", split, failed)
+        datasets[split], report = run_data_pipeline(results, cfg)
+        sizes.merge(report)
+        csv_path = out_dir / f"{split}.csv"
+        replace_text(csv_path, rendered(write_dataset_csv, datasets[split]))
+        on_step("dataset", split, datasets[split], csv_path)
+    sizes_path = out_dir / "stage_sizes.json"
+    replace_text(sizes_path, sizes.to_json())
+
+    train = datasets["train"]
+    if cfg.reduce:
+        coverage = _coverage_from_design(cfg, train)
+        train, history = ranking.reduce_signals(
+            train, coverage, keep_fraction=cfg.keep_fraction, max_signals=cfg.max_signals, seed=cfg.seed
+        )
+        replace_text(out_dir / "reduction_history.json", ranking.history_json(history, coverage))
+
+    metrics_doc = {}
+    for kind in cfg.models:
+        model = models.fit(kind, train, seed=cfg.seed)
+        models.save_model(model, out_dir / f"model_{kind}.bin")
+        report = metrics.evaluate(model, datasets["test"])
+        metrics_doc[kind] = report.to_dict()
+        on_step("model", kind, report)
+    metrics_path = out_dir / "metrics.json"
+    replace_text(metrics_path, json.dumps(metrics_doc, indent=2))
+    return [metrics_path, sizes_path]

@@ -9,10 +9,13 @@ instance drop their subtree.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+from .sysio import json_key
 
 
 class SelectionError(Exception):
@@ -53,14 +56,14 @@ class SelectionReport:
 
     @classmethod
     def from_json(cls, text: str) -> "SelectionReport":
+        """The report :meth:`to_json` wrote; a missing key raises
+        ValueError naming it."""
         doc = json.loads(text)
+        key = functools.partial(json_key, doc, where="selection report")
         return cls(
-            selected=[
-                (name, id_code, int(width), target)
-                for name, id_code, width, target in doc["selected"]
-            ],
-            dropped_count=int(doc["dropped_count"]),
-            per_target_counts={k: int(v) for k, v in doc["per_target_counts"].items()},
+            selected=[(name, code, int(width), target) for name, code, width, target in key("selected")],
+            dropped_count=int(key("dropped_count")),
+            per_target_counts={k: int(v) for k, v in key("per_target_counts").items()},
         )
 
 

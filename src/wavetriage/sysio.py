@@ -1,7 +1,7 @@
-"""Running a command template and replacing a file atomically, from bytes
-or from text rendered through a handle: the two contracts with the outside
-world besides reading files, each with one owner here. Standard library
-only."""
+"""Running a command template, replacing a file atomically, from bytes or
+from text rendered through a handle, and reading a key of a JSON document
+that came from outside: the contracts with the outside world, each with
+one owner here. Standard library only."""
 
 from __future__ import annotations
 
@@ -77,3 +77,11 @@ def rendered(write, *args) -> str:
     buf = io.StringIO()
     write(*args, buf)
     return buf.getvalue()
+
+
+def json_key(doc, key: str, where: str, error=ValueError):
+    """``doc[key]``; ``error`` naming ``where`` and the key when ``doc`` is
+    not a JSON object or has no such key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise error(f"{where} has no key {key!r}")
+    return doc[key]

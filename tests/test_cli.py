@@ -18,7 +18,8 @@ from wavetriage.fixtures import (
     materialize_corpus,
     simulator_command,
 )
-from wavetriage.metrics import MetricsReport
+from wavetriage.extract import read_dataset_csv
+from wavetriage.metrics import MetricsReport, reports_from_json
 from wavetriage.mutate import load_cache
 
 PY = sys.executable
@@ -304,6 +305,27 @@ def test_inject_empty_list_is_exit_2_before_any_edit(tmp_path, capsys, key):
     assert not (tmp_path / "cache.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "key, says",
+    [
+        ("modules", "config has no key 'modules'"),
+        ("check", "config has no key 'check'"),
+        ("check.compile", "check object has no key 'compile'"),
+        ("design_dir", "config has no key 'design_dir'"),
+    ],
+    ids=["modules", "check", "check.compile", "design_dir"],
+)
+def test_inject_config_without_a_key_is_exit_2_naming_it_and_the_file(tmp_path, capsys, key, says):
+    design, cfg_path = write_prefix_design(tmp_path, ["core"])
+    config = json.loads(cfg_path.read_text())
+    del (config["check"] if "." in key else config)[key.rsplit(".", 1)[-1]]
+    cfg_path.write_text(json.dumps(config))
+    assert run("inject", "--config", str(cfg_path), "--keep-applied") == 2
+    assert capsys.readouterr().err == f"error: {cfg_path}: {says}\n"
+    assert (design / "core.sv").read_text() == CORE_SV
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
 def test_inject_empty_check_command_is_exit_2_and_reverts(tmp_path, capsys):
     design, cfg_path = write_prefix_design(tmp_path, ["core"])
     config = json.loads(cfg_path.read_text())
@@ -477,9 +499,8 @@ def test_reduction_coverage_needs_no_waveform(corpus, tmp_path):
     """Signal -> module coverage for reduction comes from the dataset's own
     signal names, equal to pruning a waveform header, with no waveform in
     the run directory."""
-    from wavetriage.cli import _coverage_from_design
     from wavetriage.extract import Dataset
-    from wavetriage.orchestrate import PipelineConfig, design_table
+    from wavetriage.orchestrate import PipelineConfig, _coverage_from_design, design_table
     from wavetriage.rtl import signals_for_targets
     from wavetriage.selection import prune
     from wavetriage.vcd import list_full_names, parse_header
@@ -569,6 +590,125 @@ def test_pipeline_names_the_first_failed_job(corpus, tmp_path, capsys):
     first = f"train-{sorted(corpus.modules)[0]}-0000"
     assert f"{len(corpus.modules)} job(s) failed after retries; first: {first} (exit code 7)" in err
     assert "license server down" in err
+
+
+def test_pipeline_result_lines_and_failed_job_lines(corpus, tmp_path, capsys):
+    """The injection line, one line per split and one per model kind on
+    stdout; one line per split with failed jobs on stderr, naming the first
+    of them. The ``-0001`` scenarios fail, and the run goes on without them."""
+    cache = tmp_path / "cache.jsonl"
+    injection = {
+        "enabled": True,
+        "count": 3,
+        "bug_types": ["logic_bug", "missing_assignment", "data_size"],
+        "check": {
+            "compile": f"{PY} {{design_dir}}/check_compile.py {{design_dir}}",
+            "test": f"{PY} {{design_dir}}/check_test.py {{design_dir}}",
+        },
+        "cache": str(cache),
+    }
+    fail_one = (
+        "sh -c 'case $1 in *-0001) echo license server down >&2; exit 7;; esac; shift; exec \"$@\"'"
+        " sim {scenario_id}"
+    )
+    out_dir = tmp_path / "run"
+    cfg_path = pipeline_config(
+        corpus,
+        out_dir,
+        injection=injection,
+        simulator=f"{fail_one} {simulator_command()}",
+        retry_limit=0,
+        train_per_module=2,
+        test_per_module=2,
+        models=["knn", "gbt"],
+    )
+    assert run("pipeline", "--config", str(cfg_path)) == 0
+    captured = capsys.readouterr()
+
+    lines = [f"injection: {len(load_cache(cache))}/3 scenario(s) accepted (cached)"]
+    for split in ("train", "test"):
+        with open(out_dir / f"{split}.csv", encoding="utf-8") as handle:
+            dataset = read_dataset_csv(handle)
+        assert len(dataset) == len(corpus.modules)
+        csv_path = out_dir / f"{split}.csv"
+        lines.append(f"{split}: {len(dataset)} rows x {len(dataset.feature_names)} features -> {csv_path}")
+    reports = reports_from_json((out_dir / "metrics.json").read_text())
+    lines += [f"{kind}: {report.summary()}" for kind, report in reports.items()]
+    assert list(reports) == ["knn", "gbt"]
+    assert captured.out == "".join(line + "\n" for line in lines)
+
+    first = sorted(corpus.modules)[0]
+    assert captured.err == "".join(
+        f"{split}: {len(corpus.modules)} job(s) failed after retries; first: {split}-{first}-0001 "
+        "(exit code 7), stderr tail:\nlicense server down\n"
+        for split in ("train", "test")
+    )
+
+
+@pytest.mark.parametrize(
+    "config, argv, env, says",
+    [
+        ({}, ["--workers", "0"], {}, "--workers: config key 'worker_count' must be >= 1, not 0"),
+        (
+            {},
+            [],
+            {"WAVETRIAGE_WORKERS": "0"},
+            "WAVETRIAGE_WORKERS: config key 'worker_count' must be >= 1, not 0",
+        ),
+        ({}, ["--tick-cap", "0"], {}, "--tick-cap: config key 'tick_cap' must be >= 1, not 0"),
+        ({"tick_cap": 0}, [], {}, "{config}: config key 'tick_cap' must be >= 1, not 0"),
+        ({"reseed_count": 0}, [], {}, "{config}: config key 'reseed_count' must be >= 1, not 0"),
+        (
+            {},
+            ["--stats", "mean,bogus"],
+            {},
+            "--stats: config key 'stats' is not a stat set: unknown statistic 'bogus'",
+        ),
+        ({"stats": []}, [], {}, "{config}: config key 'stats' is not a stat set: empty stat set"),
+        (
+            {"models": ["knn", "xgb"]},
+            [],
+            {},
+            "{config}: config key 'models' names unknown model kind 'xgb'; known: knn, random_forest, gbt",
+        ),
+        (
+            {"injection": {"enabled": True, "count": 1}},
+            [],
+            {},
+            "{config}: config key 'injection' has no key 'check'",
+        ),
+        (
+            {"injection": {"enabled": True, "count": 1, "check": {"test": "true"}}},
+            [],
+            {},
+            "{config}: check object has no key 'compile'",
+        ),
+        (
+            {},
+            [],
+            {"WAVETRIAGE_TICK_CAP": "abc"},
+            "environment variable WAVETRIAGE_TICK_CAP: invalid literal for int() with base 10: 'abc'",
+        ),
+    ],
+    ids=[
+        "workers-flag", "workers-env", "tick-cap-flag", "tick-cap-config", "reseed-count", "stats-flag",
+        "stats-empty", "models", "injection-check", "check-compile", "env-not-an-int",
+    ],
+)
+def test_pipeline_bad_setting_is_exit_2_before_out_dir(
+    corpus, tmp_path, capsys, monkeypatch, config, argv, env, says
+):
+    """A flag, a ``WAVETRIAGE_*`` variable and a config value pass the same
+    checks, and the message names the key and where its value came from."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out_dir = tmp_path / "run"
+    cfg_path = pipeline_config(corpus, out_dir, **config)
+    assert run("pipeline", "--config", str(cfg_path), *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {says.format(config=cfg_path)}\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_pipeline_without_a_simulator_is_exit_2_before_any_job(corpus, tmp_path, capsys):
@@ -836,3 +976,38 @@ def test_report_names_a_missing_ablation_key_and_the_file(stage_files, tmp_path,
     capsys.readouterr()
     assert run("report", "--metrics", str(stage_files["metrics"]), "--ablation", str(path)) == 2
     assert capsys.readouterr().err == f"error: {path}: {says}\n"
+
+
+@pytest.mark.parametrize(
+    "name, doc, says",
+    [
+        ("selection", {"selected": []}, "selection report has no key 'dropped_count'"),
+        ("meta", {"scenario_id": "s"}, "rough CSV sidecar has no key 'label'"),
+    ],
+    ids=["selection", "meta"],
+)
+def test_a_json_input_without_a_key_is_named_with_the_key(
+    corpus, stage_files, tmp_path, capsys, name, doc, says
+):
+    path = tmp_path / ("rough.csv.meta.json" if name == "meta" else "sel.json")
+    path.write_text(json.dumps(doc))
+    if name == "meta":
+        (tmp_path / "rough.csv").write_bytes(stage_files["rough"].read_bytes())
+    gen_failing_vcd(corpus, corpus.modules[0], ticks=60, seed=1000, out_path=tmp_path / "wave.vcd")
+    capsys.readouterr()
+    assert run(*_stage_command(stage_files, tmp_path, name, path)) == 2
+    assert capsys.readouterr().err == f"error: {path}: {says}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_environment_value_that_does_not_parse_is_named(
+    corpus, stage_files, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("WAVETRIAGE_TICK_CAP", "abc")
+    gen_failing_vcd(corpus, corpus.modules[0], ticks=60, seed=1000, out_path=tmp_path / "wave.vcd")
+    capsys.readouterr()
+    assert run(*_stage_command(stage_files, tmp_path, "selection", stage_files["selection"])) == 2
+    assert capsys.readouterr().err == (
+        "error: environment variable WAVETRIAGE_TICK_CAP: invalid literal for int() with base 10: 'abc'\n"
+    )
+    assert not (tmp_path / "out").exists()

@@ -13,9 +13,11 @@ line per model kind follows: a SHA-256 of the fitted arrays (tree, bin cut
 and gain arrays; for KNN its scaling and training arrays) and of the
 model's ``predict_proba`` on ``test.csv``. Those lines do not depend on the
 model file format, so they show an unchanged model where only the file's
-bytes changed. One last line covers the corpus itself: a SHA-256 over
-``manifest.json`` and every ``vcds/*.vcd`` in sorted order, each file's
-relative path and size hashed in front of its bytes.
+bytes changed. A ``pipeline:stdout`` line covers the result lines the run
+printed, with the temporary root replaced by ``<work>``. One last line
+covers the corpus itself: a SHA-256 over ``manifest.json`` and every
+``vcds/*.vcd`` in sorted order, each file's relative path and size hashed
+in front of its bytes.
 
 Then the stage commands run one at a time on the first test scenario of
 each module: ``scan``, ``select`` (on the first of those waveforms),
@@ -98,10 +100,11 @@ def output_hashes(work: Path) -> list[str]:
     }
     config_path = work / "pipeline.json"
     config_path.write_text(json.dumps(config, indent=2))
-    with contextlib.redirect_stdout(sys.stderr):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         code = cli.main(["pipeline", "--config", str(config_path)])
     if code != 0:
-        raise SystemExit(f"wavetriage pipeline exited {code}")
+        raise SystemExit(f"wavetriage pipeline exited {code}:\n{stdout.getvalue()}")
     models = [f"model_{kind}.bin" for kind in MODEL_KINDS]
     lines = []
     for name in (*OUTPUTS, *models):
@@ -109,6 +112,8 @@ def output_hashes(work: Path) -> list[str]:
         lines.append(f"{digest}  {name}")
     for name in models:
         lines.append(f"{model_content_hash(out_dir / name, out_dir / 'test.csv')}  {name}:content")
+    printed = stdout.getvalue().encode("utf-8").replace(str(work).encode("utf-8"), b"<work>")
+    lines.append(f"{hashlib.sha256(printed).hexdigest()}  pipeline:stdout")
     lines.append(f"{corpus_hash(design.root)}  design/{{manifest.json,vcds/*.vcd}}")
     return lines + stage_chain_hashes(work, design)
 
