@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .sysio import json_key, rendered, replace_text
+from .sysio import json_key, json_setting, rendered, replace_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -298,11 +298,14 @@ def cmd_inject(args) -> int:
     from .mutate import batch_from_config
 
     config = _read_json(args.config)
-    seed = _env_override("seed", args.seed, default=config.get("seed") or 0, cast=int)
-    count = args.count if args.count is not None else int(config.get("count", 1))
     with _reading(args.config):
+        if not isinstance(config, dict):
+            raise ValueError("an inject config is a JSON object")
+        config_seed = json_setting(config, "seed", "int", 0)
+        count = args.count if args.count is not None else json_setting(config, "count", "int", 1)
         inject = batch_from_config(config, count)
         design_dir = json_key(config, "design_dir", "config")
+    seed = _env_override("seed", args.seed, default=config_seed, cast=int)
     batch = inject(design_dir, seed_base=seed * 1_000_003, keep_applied=args.keep_applied)
     results = [
         {

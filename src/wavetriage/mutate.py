@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from . import rtl
 from .rtl import ModuleLookupTable, Token, UnknownModule, is_identifier
-from .sysio import json_key, replace_file, run_template
+from .sysio import json_key, json_setting, replace_file, run_template
 
 BUG_TYPES = (
     "missing_assignment",
@@ -124,22 +124,24 @@ class CheckCommands:
     vcd_out: str | None = None
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "CheckCommands":
-        """From a config's ``check`` object; ``timeout`` and ``vcd_out`` are
-        optional, and a missing key raises ValueError naming it."""
+    def from_dict(cls, doc: dict, key: str = "check") -> "CheckCommands":
+        """From a config's ``check`` object, which is config key ``key``;
+        ``timeout`` and ``vcd_out`` are optional, and a missing key or a
+        value of the wrong JSON type raises ValueError naming it."""
         return cls(
             compile=json_key(doc, "compile", "check object"),
             test=json_key(doc, "test", "check object"),
-            timeout=float(doc.get("timeout", 60.0)),
-            vcd_out=doc.get("vcd_out"),
+            timeout=json_setting(doc, "timeout", "float", 60.0, f"{key}.timeout"),
+            vcd_out=json_setting(doc, "vcd_out", "str", None, f"{key}.vcd_out"),
         )
 
 
 def batch_from_config(doc: dict, count: int, targets=None):
     """:func:`inject_batch` bound to the checked settings of ``inject``'s
     config, or of ``pipeline``'s ``injection`` object when ``targets``, that
-    config's key, names the modules. A missing key, or an empty list where
-    ``count`` asks for scenarios, raises ValueError naming the key."""
+    config's key, names the modules. A missing key, a value of the wrong
+    JSON type, or an empty list where ``count`` asks for scenarios, raises
+    ValueError naming the key."""
     where, prefix = ("config", "") if targets is None else ("config key 'injection'", "injection.")
     lists = {"modules": json_key(doc, "modules", where)} if targets is None else {"targets": targets}
     lists[prefix + "bug_types"] = doc.get("bug_types", BUG_TYPES)
@@ -152,10 +154,10 @@ def batch_from_config(doc: dict, count: int, targets=None):
         modules=modules,
         bug_types=bug_types,
         count=count,
-        check=CheckCommands.from_dict(json_key(doc, "check", where)),
-        cache_path=doc.get("cache"),
-        failure_log_path=doc.get("failure_log"),
-        max_attempts=int(doc.get("max_attempts", 5)),
+        check=CheckCommands.from_dict(json_key(doc, "check", where), prefix + "check"),
+        cache_path=json_setting(doc, "cache", "str", None, prefix + "cache"),
+        failure_log_path=json_setting(doc, "failure_log", "str", None, prefix + "failure_log"),
+        max_attempts=json_setting(doc, "max_attempts", "int", 5, prefix + "max_attempts"),
     )
 
 
@@ -200,15 +202,17 @@ def _discover_sites(text: str, tokens: list[Token], lo: int, hi: int) -> _Sites:
     edges: list[Token] = []
     ranges_by_span: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 
+    # one running bracket depth over the whole body, clamped at zero, marks
+    # where each statement starts; the bracket scans below find one stop
     depth = 0
     stmt_start = lo
     i = lo
     while i < hi:
         tok = tokens[i]
         t = tok.text
-        if t in ("(", "[", "{"):
+        if t in rtl.OPENERS:
             depth += 1
-        elif t in (")", "]", "}"):
+        elif t in rtl.CLOSERS:
             depth -= 1
             if depth <= 0:
                 depth = 0
@@ -226,13 +230,13 @@ def _discover_sites(text: str, tokens: list[Token], lo: int, hi: int) -> _Sites:
                 if site is not None:
                     assignments.append(site)
         elif t in ("if", "while") and i + 1 < hi and tokens[i + 1].text == "(":
-            close = _match_paren(tokens, i + 1, hi)
+            close = rtl.unenclosed(tokens, i + 2, rtl.CLOSERS, hi)
             if close is not None and close > i + 2:
                 conditions.append((tokens[i + 2].start, tokens[close - 1].end))
         elif t == "always_ff":
             j = i + 1
             if j < hi and tokens[j].text == "@" and j + 1 < hi and tokens[j + 1].text == "(":
-                close = _match_paren(tokens, j + 1, hi)
+                close = rtl.unenclosed(tokens, j + 2, rtl.CLOSERS, hi)
                 if close is not None:
                     for k in range(j + 2, close):
                         if tokens[k].text in ("posedge", "negedge"):
@@ -251,31 +255,19 @@ def _discover_sites(text: str, tokens: list[Token], lo: int, hi: int) -> _Sites:
     )
 
 
-def _match_paren(tokens: list[Token], open_index: int, hi: int) -> int | None:
-    depth = 0
-    for j in range(open_index, hi):
-        t = tokens[j].text
-        if t in ("(", "[", "{"):
-            depth += 1
-        elif t in (")", "]", "}"):
-            depth -= 1
-            if depth == 0:
-                return j
-    return None
-
-
 def _scan_assignment(
     tokens: list[Token], start: int, hi: int, stmt_token: int, op_index: int | None = None
 ) -> _Assignment | None:
     if op_index is None:
-        # continuous assign: find '=' at depth 0
+        # continuous assign: find '=' at depth 0; unlike the ';' search
+        # below, a ';' at any depth ends the statement
         depth = 0
         op_index = -1
         for j in range(start, hi):
             t = tokens[j].text
-            if t in ("(", "[", "{"):
+            if t in rtl.OPENERS:
                 depth += 1
-            elif t in (")", "]", "}"):
+            elif t in rtl.CLOSERS:
                 depth -= 1
             elif t == "=" and depth == 0:
                 op_index = j
@@ -286,18 +278,8 @@ def _scan_assignment(
             return None
     if not is_identifier(tokens[start]):
         return None
-    depth = 0
-    semi = -1
-    for j in range(op_index + 1, hi):
-        t = tokens[j].text
-        if t in ("(", "[", "{"):
-            depth += 1
-        elif t in (")", "]", "}"):
-            depth -= 1
-        elif t == ";" and depth == 0:
-            semi = j
-            break
-    if semi < 0 or semi == op_index + 1:
+    semi = rtl.unenclosed(tokens, op_index + 1, (";",), hi)
+    if semi is None or semi == op_index + 1:
         return None
     return _Assignment(
         stmt_start=tokens[stmt_token].start,

@@ -39,7 +39,7 @@ from .extract import (
 )
 from .rtl import DesignSources, ModuleLookupTable, scan_sources, signals_for_targets
 from .selection import SelectionError, prune
-from .sysio import rendered, replace_text, run_template
+from .sysio import json_setting, json_typed, rendered, replace_text, run_template
 from .vcd import VcdError, parse_header, list_full_names, stream_changes
 
 
@@ -60,23 +60,6 @@ class ScratchCollision(OrchestrateError):
 
 class NoFailingWaveforms(OrchestrateError):
     pass
-
-
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)
-
-
-# a PipelineConfig field's annotation (``X | None`` is checked as ``X``: a
-# null stands for the default) -> the JSON type its value must have
-_JSON_TYPES = {
-    "str": ("a string", lambda value: isinstance(value, str)),
-    "int": ("an integer", lambda value: type(value) is int),
-    "float": ("a number", lambda value: type(value) in (int, float)),
-    "bool": ("true or false", lambda value: type(value) is bool),
-    "dict": ("an object", lambda value: isinstance(value, dict)),
-    "list[str]": ("a list of strings", _strings),
-    "tuple[str, ...]": ("a list of strings", _strings),
-}
 
 
 @dataclass
@@ -134,9 +117,10 @@ class PipelineConfig:
             return ValueError(f"{where[name]}: config key {name!r} {says}")
 
         for name, value in doc.items():
-            expected, fits = _JSON_TYPES[known[name].type.removesuffix(" | None")]
-            if not fits(value):
-                raise bad(name, f"must be {expected}, not {json.dumps(value)}")
+            try:
+                json_typed(value, known[name].type, name)
+            except ValueError as exc:
+                raise ValueError(f"{where[name]}: {exc}") from None
         for name in ("tick_cap", "worker_count", "reseed_count"):
             if doc.get(name, 1) < 1:
                 raise bad(name, f"must be >= 1, not {doc[name]}")
@@ -170,7 +154,8 @@ def _injection(cfg: PipelineConfig):
     inj = cfg.injection or {}
     if not inj.get("enabled"):
         return None
-    return mutate.batch_from_config(inj, int(inj.get("count", len(cfg.targets))), cfg.targets)
+    count = json_setting(inj, "count", "int", len(cfg.targets), "injection.count")
+    return mutate.batch_from_config(inj, count, cfg.targets)
 
 
 @dataclass

@@ -93,7 +93,11 @@ class ModuleLookupTable:
 
     @classmethod
     def from_json(cls, text: str) -> "ModuleLookupTable":
+        """The table of :meth:`to_json`'s text, each key optional; a
+        document that is not a JSON object raises ValueError."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("a lookup table is a JSON object")
         table = cls()
         for module, groups in doc.get("modules", {}).items():
             table.entries[module] = {dt: set(names) for dt, names in groups.items()}
@@ -121,8 +125,6 @@ class DesignSources:
 # Tokenizer
 
 _ID_START = re.compile(r"[A-Za-z_]")
-_ID_CHARS = re.compile(r"[A-Za-z0-9_$]")
-_NUM_CHARS = re.compile(r"[0-9a-fA-FxXzZ_?.]")
 
 _MULTI_OPS = (
     "<<<=", ">>>=",
@@ -131,6 +133,24 @@ _MULTI_OPS = (
     "::", "->", "++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=",
     "^=", "~&", "~|", "~^", "^~", "@*",
 )
+
+# One alternation, tried in order at each position: skipped text (blanks,
+# comments, and attributes, where ``(*)`` is an event list and not one); a
+# string; an unclosed comment, attribute or string; then an escaped
+# identifier, a directive, an identifier, a number, an operator or any one
+# character. Only the first two alternatives can hold a newline.
+_NUM = r"[0-9a-fA-FxXzZ_?.]*"
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\f\n]+|//[^\n]*|/\*.*?\*/|\(\*(?!\)).*?\*\))"
+    r'|"(?:[^"\\]|\\.)*"'
+    r'|(?P<comment>/\*)|(?P<attribute>\(\*(?!\)))|(?P<string>")'
+    r"|\\\S*|`[A-Za-z0-9_$]*|[A-Za-z_][A-Za-z0-9_$]*"
+    rf"|(?=[0-9]|'[bodhBODH01xXzZ]){_NUM}(?:'[sS]?[bodhBODH]?{_NUM})?"
+    + "".join("|" + re.escape(op) for op in _MULTI_OPS)
+    + "|.",
+    re.S,
+)
+_UNCLOSED = {"comment": "closing */", "attribute": "closing *)", "string": "closing quote"}
 
 KEYWORDS = frozenset(
     """module endmodule input output inout wire reg logic bit integer int tri
@@ -158,98 +178,17 @@ PROCEDURAL = frozenset(
 def tokenize(text: str, file: str = "<text>") -> list[Token]:
     """Lex Verilog source, skipping comments and attributes."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    line = 1
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
+    line, last = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "skip":
             continue
-        if c in " \t\r\f":
-            i += 1
-            continue
-        if c == "/" and i + 1 < n:
-            if text[i + 1] == "/":
-                j = text.find("\n", i)
-                i = n if j < 0 else j
-                continue
-            if text[i + 1] == "*":
-                j = text.find("*/", i + 2)
-                if j < 0:
-                    raise ParseError(file, line, "closing */")
-                line += text.count("\n", i, j)
-                i = j + 2
-                continue
-        if c == "(" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*)", i + 2)
-            if j < 0:
-                raise ParseError(file, line, "closing *)")
-            line += text.count("\n", i, j)
-            i = j + 2
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            if j >= n:
-                raise ParseError(file, line, "closing quote")
-            tokens.append(Token(text[i : j + 1], i, j + 1, line))
-            i = j + 1
-            continue
-        if c == "\\":  # escaped identifier, terminated by whitespace
-            j = i + 1
-            while j < n and not text[j].isspace():
-                j += 1
-            tokens.append(Token(text[i:j], i, j, line))
-            i = j
-            continue
-        if c == "`":
-            j = i + 1
-            while j < n and _ID_CHARS.match(text[j]):
-                j += 1
-            tokens.append(Token(text[i:j], i, j, line))
-            i = j
-            continue
-        if _ID_START.match(c):
-            j = i + 1
-            while j < n and _ID_CHARS.match(text[j]):
-                j += 1
-            tokens.append(Token(text[i:j], i, j, line))
-            i = j
-            continue
-        if c.isdigit() or (c == "'" and i + 1 < n and text[i + 1] in "bodhBODH01xXzZ"):
-            j = i
-            seen_quote = False
-            while j < n:
-                ch = text[j]
-                if ch == "'" and not seen_quote:
-                    seen_quote = True
-                    j += 1
-                    if j < n and text[j] in "sS":
-                        j += 1
-                    if j < n and text[j] in "bodhBODH":
-                        j += 1
-                    continue
-                if _NUM_CHARS.match(ch):
-                    j += 1
-                    continue
-                break
-            tokens.append(Token(text[i:j], i, j, line))
-            i = j
-            continue
-        matched = False
-        for op in _MULTI_OPS:
-            if text.startswith(op, i):
-                tokens.append(Token(op, i, i + len(op), line))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        tokens.append(Token(c, i, i + 1, line))
-        i += 1
+        start = match.start()
+        line += text.count("\n", last, start)
+        last = start
+        if kind is not None:
+            raise ParseError(file, line, _UNCLOSED[kind])
+        tokens.append(Token(match.group(), start, match.end(), line))
     return tokens
 
 
@@ -263,8 +202,25 @@ def is_identifier(tok: Token) -> bool:
 # ---------------------------------------------------------------------------
 # Scanner
 
-_OPEN = {"(": ")", "[": "]", "{": "}"}
-_CLOSE = {")", "]", "}"}
+OPENERS = frozenset("([{")
+CLOSERS = frozenset(")]}")
+
+
+def unenclosed(tokens: list[Token], start: int, stops, end: int | None = None) -> int | None:
+    """Index of the first token in ``tokens[start:end]`` whose text is in
+    ``stops`` and that no bracket opened at or after ``start`` encloses, or
+    None. Bracket kinds are not matched against each other, and a closer
+    that is not a stop and closes nothing moves the scan one level out."""
+    depth = 0
+    for j in range(start, len(tokens) if end is None else end):
+        text = tokens[j].text
+        if depth == 0 and text in stops:
+            return j
+        if text in OPENERS:
+            depth += 1
+        elif text in CLOSERS:
+            depth -= 1
+    return None
 
 
 class _Cursor:
@@ -302,31 +258,31 @@ class _Cursor:
     def skip_balanced(self):
         """Consume one bracketed group starting at the current token."""
         opener = self.advance()
-        closer = _OPEN.get(opener.text)
-        if closer is None:
+        if opener.text not in OPENERS:
             raise ParseError(self.file, opener.line, "( or [ or {")
-        depth = 1
-        while depth:
-            tok = self.advance()
-            if tok.text in _OPEN:
-                depth += 1
-            elif tok.text in _CLOSE:
-                depth -= 1
+        self.skip_to(*CLOSERS)
 
     def skip_to(self, *stops: str, balanced: bool = True) -> Token:
-        """Consume tokens up to and including the first stop at depth zero."""
-        depth = 0
-        while True:
-            tok = self.advance()
-            if balanced:
-                if tok.text in _OPEN:
-                    depth += 1
-                    continue
-                if tok.text in _CLOSE:
-                    depth -= 1
-                    continue
-            if depth == 0 and tok.text in stops:
-                return tok
+        """Consume tokens up to and including the first stop that no bracket
+        encloses (with ``balanced``) or the first stop at all."""
+        tokens = self.tokens
+        if balanced:
+            j = unenclosed(tokens, self.i, stops)
+        else:
+            j = next((k for k in range(self.i, len(tokens)) if tokens[k].text in stops), None)
+        if j is None:
+            raise ParseError(self.file, self.last_line(), "more input")
+        self.i = j + 1
+        return tokens[j]
+
+    def stop_before(self, stops, expected: str) -> str:
+        """Move to the first stop that no bracket encloses, without
+        consuming it, and return its text."""
+        j = unenclosed(self.tokens, self.i, stops)
+        if j is None:
+            raise ParseError(self.file, self.last_line(), expected)
+        self.i = j
+        return self.tokens[j].text
 
     def skip_directive_line(self, line: int):
         while not self.eof() and self.tokens[self.i].line == line:
@@ -395,25 +351,11 @@ def _scan_param_statement(cur: _Cursor, scan: _ModuleScan, *, in_header: bool = 
         if not is_identifier(tok):
             raise ParseError(cur.file, tok.line, f"parameter name (found {tok.text!r})")
         scan.params.add(tok.text)
-        depth_stops = (",", ";", ")") if in_header else (",", ";")
-        nxt = cur.peek_text()
-        if nxt == "=":
+        if cur.peek_text() == "=":
             cur.advance()
-            # value expression: consume to separator at depth 0 without eating it
-            depth = 0
-            while True:
-                look = cur.peek()
-                if look is None:
-                    raise ParseError(cur.file, cur.last_line(), "end of parameter value")
-                if look.text in _OPEN:
-                    depth += 1
-                elif look.text in _CLOSE:
-                    if depth == 0 and look.text == ")":
-                        return  # header list closes; caller consumes ')'
-                    depth -= 1
-                elif depth == 0 and look.text in depth_stops:
-                    break
-                cur.advance()
+            # value expression: stop before the separator
+            if cur.stop_before((",", ";", ")"), "end of parameter value") == ")":
+                return  # header list closes; caller consumes ')'
         sep = cur.peek_text()
         if sep == "," :
             cur.advance()
@@ -471,20 +413,7 @@ def _scan_ansi_ports(cur: _Cursor, scan: _ModuleScan):
                 cur.skip_balanced()
             if cur.peek_text() == "=":
                 cur.advance()
-                depth = 0
-                while True:
-                    look = cur.peek()
-                    if look is None:
-                        raise ParseError(cur.file, cur.last_line(), "port default value")
-                    if look.text in _OPEN:
-                        depth += 1
-                    elif look.text == ")" and depth == 0:
-                        break
-                    elif look.text in _CLOSE:
-                        depth -= 1
-                    elif look.text == "," and depth == 0:
-                        break
-                    cur.advance()
+                cur.stop_before((",", ")"), "port default value")
             continue
         raise ParseError(cur.file, tok.line, f"port declaration (found {tok.text!r})")
 

@@ -1,12 +1,13 @@
 """Running a command template, replacing a file atomically, from bytes or
 from text rendered through a handle, and reading a key of a JSON document
-that came from outside: the contracts with the outside world, each with
-one owner here. Standard library only."""
+that came from outside, of the JSON type it must have: the contracts with
+the outside world, each with one owner here. Standard library only."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import shlex
 import shutil
@@ -85,3 +86,36 @@ def json_key(doc, key: str, where: str, error=ValueError):
     if not isinstance(doc, dict) or key not in doc:
         raise error(f"{where} has no key {key!r}")
     return doc[key]
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+# a config value's type annotation (``X | None`` is checked as ``X``: a
+# null stands for the default) -> the JSON type the value must have
+JSON_TYPES = {
+    "str": ("a string", lambda value: isinstance(value, str)),
+    "int": ("an integer", lambda value: type(value) is int),
+    "float": ("a number", lambda value: type(value) in (int, float)),
+    "bool": ("true or false", lambda value: type(value) is bool),
+    "dict": ("an object", lambda value: isinstance(value, dict)),
+    "list[str]": ("a list of strings", _strings),
+    "tuple[str, ...]": ("a list of strings", _strings),
+}
+
+
+def json_typed(value, annotation: str, name: str):
+    """``value``; ValueError naming config key ``name`` when it is not of
+    the JSON type of ``annotation``, a key of :data:`JSON_TYPES`."""
+    expected, fits = JSON_TYPES[annotation.removesuffix(" | None")]
+    if not fits(value):
+        raise ValueError(f"config key {name!r} must be {expected}, not {json.dumps(value)}")
+    return value
+
+
+def json_setting(doc: dict, key: str, annotation: str, default, name: str | None = None):
+    """``doc[key]`` checked by :func:`json_typed` as config key ``name``
+    (``key`` by default), or ``default`` when it is missing or null."""
+    value = doc.get(key)
+    return default if value is None else json_typed(value, annotation, name or key)

@@ -84,6 +84,19 @@ def test_scan_and_error_paths(corpus, tmp_path):
     assert run("scan", "--sources", str(bad), "--json", str(tmp_path / "x.json")) == 2
 
 
+def test_select_lookup_table_that_is_not_an_object_is_exit_2_naming_the_file(corpus, tmp_path, capsys):
+    tau = tmp_path / "tau.json"
+    tau.write_text("[]")
+    wave = tmp_path / "wave.vcd"
+    gen_failing_vcd(corpus, corpus.modules[0], ticks=50, seed=1000, out_path=wave)
+    code = run(
+        "select", "--vcd", str(wave), "--tau", str(tau), "--targets", ",".join(corpus.modules),
+        "--top-module", "soc_top", "--dut-root", "tb.dut", "--json", str(tmp_path / "sel.json"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {tau}: a lookup table is a JSON object\n"
+
+
 def _selected_fixture_waveform(corpus, tmp_path):
     """A fixture waveform and the selection report ``select`` writes for it."""
     tau = tmp_path / "tau.json"
@@ -338,6 +351,36 @@ def test_inject_empty_check_command_is_exit_2_and_reverts(tmp_path, capsys):
     assert not (tmp_path / "cache.jsonl").exists()
 
 
+def test_inject_config_that_is_not_an_object_is_exit_2_naming_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "inject.json"
+    cfg_path.write_text("[]")
+    assert run("inject", "--config", str(cfg_path)) == 2
+    assert capsys.readouterr().err == f"error: {cfg_path}: an inject config is a JSON object\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("count", "abc", "an integer"),
+        ("count", True, "an integer"),
+        ("seed", 2.7, "an integer"),
+        ("max_attempts", 2.7, "an integer"),
+        ("check.timeout", True, "a number"),
+        ("check.vcd_out", 5, "a string"),
+        ("cache", 5, "a string"),
+    ],
+)
+def test_inject_config_value_of_the_wrong_json_type_is_exit_2_naming_the_key(tmp_path, capsys, key, value, expected):
+    design, cfg_path = write_prefix_design(tmp_path, ["core"])
+    config = json.loads(cfg_path.read_text())
+    (config["check"] if "." in key else config)[key.rsplit(".", 1)[-1]] = value
+    cfg_path.write_text(json.dumps(config))
+    assert run("inject", "--config", str(cfg_path), "--keep-applied") == 2
+    says = f"config key {key!r} must be {expected}, not {json.dumps(value)}"
+    assert capsys.readouterr().err == f"error: {cfg_path}: {says}\n"
+    assert (design / "core.sv").read_text() == CORE_SV
+
+
 def test_inject_finds_the_package_without_pythonpath(tmp_path, monkeypatch):
     # the check commands run as child processes that inherit this environment
     monkeypatch.delenv("PYTHONPATH", raising=False)
@@ -446,6 +489,26 @@ def test_pipeline_injection_empty_list_is_exit_2(corpus, tmp_path, capsys, targe
     )
     assert run("pipeline", "--config", str(cfg_path)) == 2
     assert repr(key) in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("injection.count", "abc", "an integer"),
+        ("injection.max_attempts", 2.7, "an integer"),
+        ("injection.check.timeout", True, "a number"),
+    ],
+)
+def test_pipeline_injection_value_of_the_wrong_json_type_is_exit_2(corpus, tmp_path, capsys, key, value, expected):
+    injection = {"enabled": True, "check": {"compile": f"{PY} -c pass", "test": f"{PY} -c pass"}}
+    *path, last = key.split(".")[1:]
+    (injection[path[0]] if path else injection)[last] = value
+    out_dir = tmp_path / "run"
+    cfg_path = pipeline_config(corpus, out_dir, injection=injection)
+    assert run("pipeline", "--config", str(cfg_path)) == 2
+    says = f"config key {key!r} must be {expected}, not {json.dumps(value)}"
+    assert capsys.readouterr().err == f"error: {cfg_path}: {says}\n"
     assert not out_dir.exists()
 
 

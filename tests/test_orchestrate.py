@@ -300,9 +300,9 @@ def test_config_json_type_of_every_field(tmp_path):
     float field takes an integer."""
     from dataclasses import fields
 
-    from wavetriage.orchestrate import _JSON_TYPES
+    from wavetriage.sysio import JSON_TYPES
 
-    assert [f.name for f in fields(PipelineConfig) if f.type.removesuffix(" | None") not in _JSON_TYPES] == []
+    assert [f.name for f in fields(PipelineConfig) if f.type.removesuffix(" | None") not in JSON_TYPES] == []
     path = tmp_path / "cfg.json"
     path.write_text(
         json.dumps({"design_dir": "d", "targets": ["a"], "top_module": "t", "keep_fraction": 1, "sim_timeout": 5})

@@ -1,10 +1,22 @@
+import ast
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import wavetriage
+from wavetriage.cli import main as cli_main
+from wavetriage.fixtures import MODULE_POOL, gen_design
 from wavetriage.rtl import (
     DesignSources,
     DuplicateModule,
     ModuleLookupTable,
     ParseError,
+    Token,
     UnknownModule,
     is_identifier,
     module_body_ranges,
@@ -225,3 +237,257 @@ def test_module_body_ranges():
 def test_is_identifier():
     tokens = tokenize("foo 12 'd4 wire \\esc!")
     assert [is_identifier(t) for t in tokens] == [True, False, False, False, True]
+
+
+# ---------------------------------------------------------------------------
+# The lexer against the character loop it replaced
+
+_REF_ID_START = re.compile(r"[A-Za-z_]")
+_REF_ID_CHARS = re.compile(r"[A-Za-z0-9_$]")
+_REF_NUM_CHARS = re.compile(r"[0-9a-fA-FxXzZ_?.]")
+_REF_MULTI_OPS = (
+    "<<<=", ">>>=",
+    "===", "!==", "==?", "!=?", "<<<", ">>>", "<<=", ">>=",
+    "==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "**", "+:", "-:",
+    "::", "->", "++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=",
+    "^=", "~&", "~|", "~^", "^~", "@*",
+)
+
+
+def _reference_tokenize(text, file, tokens):
+    """The tokenizer's former per-character loop, appending to ``tokens`` so
+    that a ParseError leaves the tokens read before it. It never returns on
+    a non-ASCII digit (``str.isdigit`` accepts it and no branch consumes
+    it), so it takes ASCII text only."""
+    assert text.isascii()
+    i = 0
+    n = len(text)
+    line = 1
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            i += 1
+            continue
+        if c in " \t\r\f":
+            i += 1
+            continue
+        if c == "/" and i + 1 < n:
+            if text[i + 1] == "/":
+                j = text.find("\n", i)
+                i = n if j < 0 else j
+                continue
+            if text[i + 1] == "*":
+                j = text.find("*/", i + 2)
+                if j < 0:
+                    raise ParseError(file, line, "closing */")
+                line += text.count("\n", i, j)
+                i = j + 2
+                continue
+        if c == "(" and i + 1 < n and text[i + 1] == "*":
+            j = text.find("*)", i + 2)
+            if j < 0:
+                raise ParseError(file, line, "closing *)")
+            line += text.count("\n", i, j)
+            i = j + 2
+            continue
+        if c == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                j += 2 if text[j] == "\\" else 1
+            if j >= n:
+                raise ParseError(file, line, "closing quote")
+            tokens.append(Token(text[i : j + 1], i, j + 1, line))
+            i = j + 1
+            continue
+        if c == "\\":
+            j = i + 1
+            while j < n and not text[j].isspace():
+                j += 1
+            tokens.append(Token(text[i:j], i, j, line))
+            i = j
+            continue
+        if c == "`":
+            j = i + 1
+            while j < n and _REF_ID_CHARS.match(text[j]):
+                j += 1
+            tokens.append(Token(text[i:j], i, j, line))
+            i = j
+            continue
+        if _REF_ID_START.match(c):
+            j = i + 1
+            while j < n and _REF_ID_CHARS.match(text[j]):
+                j += 1
+            tokens.append(Token(text[i:j], i, j, line))
+            i = j
+            continue
+        if c.isdigit() or (c == "'" and i + 1 < n and text[i + 1] in "bodhBODH01xXzZ"):
+            j = i
+            seen_quote = False
+            while j < n:
+                ch = text[j]
+                if ch == "'" and not seen_quote:
+                    seen_quote = True
+                    j += 1
+                    if j < n and text[j] in "sS":
+                        j += 1
+                    if j < n and text[j] in "bodhBODH":
+                        j += 1
+                    continue
+                if _REF_NUM_CHARS.match(ch):
+                    j += 1
+                    continue
+                break
+            tokens.append(Token(text[i:j], i, j, line))
+            i = j
+            continue
+        matched = False
+        for op in _REF_MULTI_OPS:
+            if text.startswith(op, i):
+                tokens.append(Token(op, i, i + len(op), line))
+                i += len(op)
+                matched = True
+                break
+        if matched:
+            continue
+        tokens.append(Token(c, i, i + 1, line))
+        i += 1
+
+
+def assert_lexes_as_reference(text):
+    """``tokenize`` gives the reference's tokens, or its ParseError, on
+    ``text``. The intended differences are left out: text holding ``(*)``
+    is not compared, and after a string literal that holds a newline the
+    lines are not either."""
+    if "(*)" in text:
+        return
+    ref, ref_error = [], None
+    try:
+        _reference_tokenize(text, "f.sv", ref)
+    except ParseError as exc:
+        ref_error = exc
+    try:
+        got, error = tokenize(text, "f.sv"), None
+    except ParseError as exc:
+        got, error = None, exc
+    lines = not any(tok.text.startswith('"') and "\n" in tok.text for tok in ref)
+    if ref_error is not None:
+        assert error is not None, text
+        assert (error.file, error.expected) == (ref_error.file, ref_error.expected), text
+        assert not lines or error.line == ref_error.line, text
+        return
+    assert error is None, text
+
+    def rows(tokens):
+        return [(t.text, t.start, t.end, t.line)[: 4 if lines else 3] for t in tokens]
+
+    assert rows(got) == rows(ref), text
+
+
+@pytest.fixture(scope="module")
+def fixture_texts(tmp_path_factory):
+    """The .sv texts of fixture designs of every size, three seeds each."""
+    root = tmp_path_factory.mktemp("lexer_designs")
+    texts = []
+    for n_modules in range(2, len(MODULE_POOL) + 1):
+        for seed in range(3):
+            design = gen_design(root / f"d{n_modules}_{seed}", n_modules=n_modules, seed=seed)
+            texts += [path.read_text() for path in design.source_paths()]
+    return texts
+
+
+def test_lexer_matches_reference_on_fixture_designs(fixture_texts):
+    assert len(fixture_texts) > 45
+    for text in fixture_texts:
+        assert_lexes_as_reference(text)
+
+
+def test_lexer_matches_reference_on_every_verilog_text_in_tests():
+    texts = [
+        node.value
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "endmodule" in node.value
+    ]
+    assert len(texts) > 20
+    for text in texts:
+        if text.isascii():
+            assert_lexes_as_reference(text)
+
+
+_FUZZ_PIECES = (
+    *"()*/\\\"`'\n \t\r\f\v\x1c;,[]{}#@$=<>!&|^~+-:%?._",
+    *"azAZbhsSxX09",
+    "wire", "module", "(* a *)", "/* c */", "// l\n", "8'hFF", "'sd3", "4'b1?x_z",
+    "(**)", "*)", "*/", "\\esc", "`define", "\"s\\\"\n\"", "1.5e3", "'h", "<<<=",
+)
+
+
+def test_lexer_matches_reference_on_fuzz_inputs(fixture_texts):
+    rng = random.Random(20)
+    corpus = "\n".join(fixture_texts[:8])
+    for _ in range(12_000):  # random slices of real designs
+        start = rng.randrange(len(corpus))
+        assert_lexes_as_reference(corpus[start : start + rng.randrange(1, 120)])
+    printable = [chr(c) for c in range(32, 127)]
+    for _ in range(12_000):  # a Verilog-ish alphabet, and any printable character
+        pieces = [
+            rng.choice(_FUZZ_PIECES) if rng.random() < 0.8 else rng.choice(printable)
+            for _ in range(rng.randrange(1, 24))
+        ]
+        assert_lexes_as_reference("".join(pieces))
+
+
+ALWAYS_STAR = """module m(input wire a, output reg y);
+  always @(*) y = a;
+  wire after_star;
+  (* keep *) reg after_attr;
+endmodule
+"""
+
+
+def test_always_star_is_an_event_list_not_an_attribute():
+    assert [t.text for t in tokenize("@(*)")] == ["@", "(", "*", ")"]
+    table = scan_text(ALWAYS_STAR)
+    assert table.entries["m"] == {"wire": {"a", "after_star"}, "reg": {"y", "after_attr"}}
+
+
+def test_scan_command_accepts_always_star(tmp_path, capsys):
+    source = tmp_path / "m.sv"
+    source.write_text(ALWAYS_STAR)
+    out = tmp_path / "tau.json"
+    assert cli_main(["scan", "--sources", str(source), "--json", str(out)]) == 0
+    assert ModuleLookupTable.from_json(out.read_text()).leaf_names("m") == {"a", "y", "after_star", "after_attr"}
+
+
+def test_non_ascii_digit_is_a_parse_error_at_its_line():
+    # The child's address space and run time are capped, so a lexer that
+    # never returns on this input fails the test instead of exhausting memory.
+    child = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from wavetriage.rtl import DesignSources, ParseError, scan_sources, tokenize\n"
+        "print([t.text for t in tokenize('wire a\\u00b2;')])\n"
+        "try:\n"
+        "    scan_sources(DesignSources(files=[('u.sv', 'module m; wire a\\u00b2; endmodule')]))\n"
+        "except ParseError as exc:\n"
+        "    print(exc.line, exc)\n"
+    )
+    src = str(Path(wavetriage.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, encoding="utf-8", timeout=10, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['wire', 'a', '\u00b2', ';']",
+        "1 u.sv:1: expected ',' or ';' (found '\u00b2')",
+    ]
+
+
+def test_parse_error_after_a_two_line_string_names_its_line():
+    text = 'module m;\n  initial $display("one\ntwo");\n  !\nendmodule\n'
+    with pytest.raises(ParseError) as err:
+        scan_text(text)
+    assert err.value.line == 4
+    assert [t.line for t in tokenize(text) if t.text in ("!", "endmodule")] == [4, 5]

@@ -26,10 +26,17 @@ each module: ``scan``, ``select`` (on the first of those waveforms),
 line covers each file they write, each ``*.manifest.json`` and rough-CSV
 sidecar included, and one ``chain/COMMAND:stdout`` line what each command
 printed; the temporary root is replaced by ``<work>`` in every file and
-every stdout before it is hashed. Outputs are byte-deterministic under a
-fixed seed, so two trees that print the same lines generate the same
-corpus and produce the same datasets, reduction, models, metrics and stage
-command outputs on it.
+every stdout before it is hashed.
+
+Last, ``inject`` runs on a copy of the design: 10 scenarios over all five
+bug types from seed ``INJECT_SEED``, checked by the design's own ``check_compile.py`` and
+``check_test.py``, with a cache and a failure log. One ``inject/NAME`` line
+covers its summary JSON, the manifest, the cache and the log, and one
+``inject:stdout`` line what it printed, each with ``<work>`` in place of
+the temporary root. Outputs are byte-deterministic under a fixed seed, so
+two trees that print the same lines generate the same corpus and produce
+the same datasets, reduction, models, metrics, stage command outputs and
+planned mutations on it.
 
 The corpus has 4 modules with 6 train and 6 test scenarios each, reduced
 to at most 12 signals. Its scenarios have difficulty ``impossible``: the
@@ -55,6 +62,8 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -64,6 +73,9 @@ from bench_pairs import export_tree  # this script's directory leads sys.path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+# inject's seed: under it three of the 10 scenarios are rejected before one
+# is accepted, so the failure log and the retry's excluded sites are covered
+INJECT_SEED = 3
 OUTPUTS = (
     "train.csv",
     "test.csv",
@@ -112,10 +124,14 @@ def output_hashes(work: Path) -> list[str]:
         lines.append(f"{digest}  {name}")
     for name in models:
         lines.append(f"{model_content_hash(out_dir / name, out_dir / 'test.csv')}  {name}:content")
-    printed = stdout.getvalue().encode("utf-8").replace(str(work).encode("utf-8"), b"<work>")
-    lines.append(f"{hashlib.sha256(printed).hexdigest()}  pipeline:stdout")
+    lines.append(work_hash_line(work, stdout.getvalue().encode("utf-8"), "pipeline:stdout"))
     lines.append(f"{corpus_hash(design.root)}  design/{{manifest.json,vcds/*.vcd}}")
-    return lines + stage_chain_hashes(work, design)
+    return lines + stage_chain_hashes(work, design) + inject_hashes(work, design)
+
+
+def work_hash_line(work: Path, data: bytes, name: str) -> str:
+    """``sha256  name`` of ``data`` with ``work`` replaced by ``<work>``."""
+    return f"{hashlib.sha256(data.replace(str(work).encode('utf-8'), b'<work>')).hexdigest()}  {name}"
 
 
 def stage_chain_hashes(work: Path, design) -> list[str]:
@@ -156,11 +172,6 @@ def stage_chain_hashes(work: Path, design) -> list[str]:
             "--svg", chain / "report.svg", "--confusion-csv", chain / "report_confusion.csv",
         ]),
     ]
-    root = str(work).encode("utf-8")
-
-    def line(data: bytes, name: str) -> str:
-        return f"{hashlib.sha256(data.replace(root, b'<work>')).hexdigest()}  chain/{name}"
-
     lines = []
     for name, argv in steps:
         stdout = io.StringIO()
@@ -168,10 +179,44 @@ def stage_chain_hashes(work: Path, design) -> list[str]:
             code = cli.main([str(arg) for arg in argv])
         if code != 0:
             raise SystemExit(f"wavetriage {name} exited {code}")
-        lines.append(line(stdout.getvalue().encode("utf-8"), f"{name}:stdout"))
+        lines.append(work_hash_line(work, stdout.getvalue().encode("utf-8"), f"chain/{name}:stdout"))
     for path in sorted(chain.iterdir()):
-        lines.append(line(path.read_bytes(), path.name))
+        lines.append(work_hash_line(work, path.read_bytes(), f"chain/{path.name}"))
     return lines
+
+
+def inject_hashes(work: Path, design) -> list[str]:
+    """Run ``inject`` on a copy of ``design`` under ``work/inject``;
+    ``sha256  inject/NAME`` for every file it writes and ``sha256
+    inject:stdout`` for what it printed, with ``work`` replaced by
+    ``<work>``. It runs from ``work`` with relative paths, so the config,
+    whose hash the manifest holds, names no temporary directory."""
+    from wavetriage import cli
+
+    inject = work / "inject"
+    shutil.copytree(design.root, inject / "design", ignore=shutil.ignore_patterns("vcds"))
+    python = shlex.quote(sys.executable)
+    config = {
+        "design_dir": "inject/design",
+        "modules": list(design.modules),
+        "bug_types": ["missing_assignment", "wrong_assignment", "bitwise_corruption", "logic_bug", "data_size"],
+        "seed": INJECT_SEED,
+        "check": {
+            "compile": f"{python} {{design_dir}}/check_compile.py {{design_dir}}",
+            "test": f"{python} {{design_dir}}/check_test.py {{design_dir}}",
+        },
+        "cache": "inject/cache.jsonl",
+        "failure_log": "inject/failures.jsonl",
+    }
+    (inject / "config.json").write_text(json.dumps(config, indent=2))
+    stdout = io.StringIO()
+    with contextlib.chdir(work), contextlib.redirect_stdout(stdout):
+        code = cli.main(["inject", "--config", "inject/config.json", "--count", "10", "--json", "inject/summary.json"])
+    if code != 0:
+        raise SystemExit(f"wavetriage inject exited {code}")
+    names = ("summary.json", "summary.json.manifest.json", "cache.jsonl", "failures.jsonl")
+    lines = [work_hash_line(work, (inject / name).read_bytes(), f"inject/{name}") for name in names]
+    return lines + [work_hash_line(work, stdout.getvalue().encode("utf-8"), "inject:stdout")]
 
 
 def model_content_hash(model_path: Path, test_csv: Path) -> str:
