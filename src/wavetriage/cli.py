@@ -15,10 +15,11 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .sysio import json_key, json_setting, rendered, replace_text
+from .sysio import json_fields, rendered, replace_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,17 +78,16 @@ def _reading(path):
     """Put ``path`` in front of the message of a data error raised while
     its file is read."""
     from .extract import ExtractError
-    from .metrics import MetricsError
 
     try:
         yield
-    except (ExtractError, MetricsError) as exc:
+    except ExtractError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError among them
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_json(path, parse=json.loads):
+def _read_json(path, parse):
     """``parse`` of the text of ``path``; its data errors name the file."""
     with _reading(path):
         return parse(Path(path).read_text())
@@ -103,7 +103,6 @@ def _data_errors():
         extract.ExtractError,
         models.ModelError,
         metrics.EmptyTest,
-        metrics.MetricsError,
         ranking.CoverageGap,
         mutate.MutateError,  # CommandNotFound among them is caught first, as external
         orchestrate.OrchestrateError,  # SimulatorNotFound likewise
@@ -184,17 +183,8 @@ def cmd_extract(args) -> int:
     out = Path(args.rough_csv)
     replace_text(out, rendered(write_rough_csv, window))
     sidecar = Path(str(out) + ".meta.json")
-    replace_text(
-        sidecar,
-        json.dumps(
-            {
-                "label": args.label,
-                "scenario_id": args.scenario_id,
-                "tick_cap": tick_cap,
-                "available_ticks": window.available_ticks,
-            }
-        ),
-    )
+    meta = _Sidecar(args.label, args.scenario_id, tick_cap, window.available_ticks)
+    replace_text(sidecar, json.dumps(asdict(meta)))
     _write_manifest(
         out,
         "extract",
@@ -204,6 +194,20 @@ def cmd_extract(args) -> int:
     )
     print(f"extracted {window.matrix.shape[0]}x{window.matrix.shape[1]} window -> {out}")
     return EXIT_OK
+
+
+@dataclass
+class _Sidecar:
+    """The ``.meta.json`` sidecar ``extract`` writes beside a rough CSV and ``compress`` reads."""
+
+    label: str
+    scenario_id: str
+    tick_cap: int | None = None
+    available_ticks: int | None = None
+
+    @classmethod
+    def from_json(cls, text: str) -> "_Sidecar":
+        return json_fields(cls, json.loads(text), "rough CSV sidecar")
 
 
 def cmd_compress(args) -> int:
@@ -217,11 +221,9 @@ def cmd_compress(args) -> int:
         meta_path = Path(str(rough_path) + ".meta.json")
         if not meta_path.exists():
             raise ValueError(f"missing sidecar {meta_path} (produced by `extract`)")
-        meta = _read_json(meta_path)
-        with _reading(meta_path):
-            label, scenario_id = (json_key(meta, k, "rough CSV sidecar") for k in ("label", "scenario_id"))
+        meta = _read_json(meta_path, _Sidecar.from_json)
         with open(rough_path, "r", encoding="utf-8") as handle, _reading(rough_path):
-            window = read_rough_csv(handle, label, scenario_id)
+            window = read_rough_csv(handle, meta.label, meta.scenario_id)
         rows.append(summarize(window, stats))
     dataset = assemble(rows)
     out = Path(args.out)
@@ -295,18 +297,14 @@ def _write_confusion(report, args) -> list[tuple[str, str]]:
 
 
 def cmd_inject(args) -> int:
-    from .mutate import batch_from_config
+    from .mutate import InjectConfig
 
-    config = _read_json(args.config)
+    cfg = _read_json(args.config, InjectConfig.from_json)
+    count = cfg.count if args.count is None else args.count
     with _reading(args.config):
-        if not isinstance(config, dict):
-            raise ValueError("an inject config is a JSON object")
-        config_seed = json_setting(config, "seed", "int", 0)
-        count = args.count if args.count is not None else json_setting(config, "count", "int", 1)
-        inject = batch_from_config(config, count)
-        design_dir = json_key(config, "design_dir", "config")
-    seed = _env_override("seed", args.seed, default=config_seed, cast=int)
-    batch = inject(design_dir, seed_base=seed * 1_000_003, keep_applied=args.keep_applied)
+        inject = cfg.batch(cfg.modules, count)
+    seed = _env_override("seed", args.seed, default=cfg.seed, cast=int)
+    batch = inject(cfg.design_dir, seed_base=seed * 1_000_003, keep_applied=args.keep_applied)
     results = [
         {
             "scenario_id": scenario.scenario_id,
@@ -356,6 +354,8 @@ def cmd_pipeline(args) -> int:
     if args.stats:
         overrides["stats"] = ([s.strip() for s in args.stats.split(",") if s.strip()], "--stats")
     cfg = PipelineConfig.from_json_file(args.config, overrides)
+    with _reading(args.config):
+        cfg.require_simulator()
     outputs = run_pipeline(cfg, _pipeline_line)
     _write_manifest(
         outputs[0],
@@ -388,11 +388,12 @@ def _pipeline_line(*step) -> None:
 
 
 def cmd_report(args) -> int:
-    from .metrics import MetricsError, ablation_from_json, reports_from_json
+    from .metrics import ablation_from_json, reports_from_json
 
     reports = _read_json(args.metrics, reports_from_json)
+    ablation = _read_json(args.ablation, ablation_from_json) if args.ablation else None
     if (args.svg or args.confusion_csv) and len(reports) > 1:
-        raise MetricsError(
+        raise ValueError(
             f"--svg and --confusion-csv draw one report, but {args.metrics} holds "
             f"{len(reports)}: {', '.join(reports)}"
         )
@@ -411,11 +412,9 @@ def cmd_report(args) -> int:
     # writes only for a file of one report (checked above), the loop's last
     for fmt, path in _write_confusion(report, args):
         lines.append(f"  confusion {fmt}  : {path}")
-    if args.ablation:
-        lines.append("")
-        lines.append("tick-cap ablation")
-        lines.append("  tick_cap    top1    top3")
-        for tick_cap, top1, top3 in _read_json(args.ablation, ablation_from_json):
+    if ablation is not None:
+        lines += ["", "tick-cap ablation", "  tick_cap    top1    top3"]
+        for tick_cap, top1, top3 in ablation:
             lines.append(f"  {tick_cap:>8} {top1:>7.3f} {top3:>7.3f}")
     print("\n".join(lines))
     return EXIT_OK

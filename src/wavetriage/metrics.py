@@ -9,60 +9,57 @@ class list for a stable shape (rows = true, columns = predicted).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
 from .extract import Dataset
 from .models import ClassifierModel
-from .sysio import json_key
+from .sysio import json_fields
 
 
 class EmptyTest(Exception):
     pass
 
 
-class MetricsError(Exception):
-    """A metrics document that lacks a report key, or that holds more
-    reports than the output asked for can draw, or a tick-cap ablation
-    that lacks a key."""
+@dataclass
+class _Scores:  # what an ablation entry's ``metrics`` hold
+    top1: float
+    top3: float
 
 
 @dataclass
-class MetricsReport:
-    top1: float
-    top3: float
+class _ReportJson(_Scores):  # a MetricsReport as its ``to_dict`` writes it
     macro_f1: float
     macro_tpr: float
     macro_fpr: float
     auc_roc_macro: float
-    confusion: np.ndarray
     classes: list[str]
+    confusion: list[list[int]]
+
+
+@dataclass
+class MetricsReport(_ReportJson):
+    confusion: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "top1": self.top1,
-            "top3": self.top3,
-            "macro_f1": self.macro_f1,
-            "macro_tpr": self.macro_tpr,
-            "macro_fpr": self.macro_fpr,
-            "auc_roc_macro": self.auc_roc_macro,
-            "classes": list(self.classes),
-            "confusion": self.confusion.astype(int).tolist(),
-        }
+        return {**vars(self), "classes": list(self.classes), "confusion": self.confusion.astype(int).tolist()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, doc) -> "MetricsReport":
-        """The report :meth:`to_dict` wrote; a missing key raises
-        :class:`MetricsError` naming it."""
-        values = {key.name: json_key(doc, key.name, "metrics report", MetricsError) for key in fields(cls)}
-        values["confusion"] = np.asarray(values["confusion"], dtype=np.int64)
-        values["classes"] = list(values["classes"])
-        return cls(**values)
+        """The report :meth:`to_dict` wrote; a missing key, a value of the
+        wrong JSON type or a ``confusion`` that is not a classes x classes
+        matrix raises ValueError naming it."""
+        report = json_fields(_ReportJson, doc, "metrics report")
+        n = len(report.classes)
+        if len(report.confusion) != n or any(len(row) != n for row in report.confusion):
+            matrix = json.dumps(report.confusion)
+            raise ValueError(f"metrics report key 'confusion' must be a {n} x {n} matrix, not {matrix}")
+        return cls(**{**vars(report), "confusion": np.asarray(report.confusion, dtype=np.int64)})
 
     def summary(self) -> str:
         """The one-line result that ``eval`` and ``pipeline`` print."""
@@ -83,33 +80,41 @@ class MetricsReport:
 def reports_from_json(text: str) -> dict[str, MetricsReport]:
     """The reports of a metrics document: ``{"": report}`` for the one
     report that ``eval`` writes, ``{kind: report}`` for the document of one
-    report per model kind that ``pipeline`` writes."""
+    report per model kind that ``pipeline`` writes, a non-empty object of
+    objects."""
     doc = json.loads(text)
-    if not (isinstance(doc, dict) and doc and all(isinstance(v, dict) for v in doc.values())):
+    try:
+        kinds = json_fields(dict[str, dict], doc, "metrics document")
+    except ValueError:
+        kinds = {}
+    if not kinds:
         return {"": MetricsReport.from_dict(doc)}
     reports = {}
-    for kind, report in doc.items():
+    for kind, report in kinds.items():
         try:
             reports[kind] = MetricsReport.from_dict(report)
-        except MetricsError as exc:
-            raise MetricsError(f"model kind {kind!r}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"model kind {kind!r}: {exc}") from None
     return reports
+
+
+@dataclass
+class _AblationEntry:
+    tick_cap: int
+    metrics: dict  # read as _Scores, named after its entry
 
 
 def ablation_from_json(text: str) -> list[tuple[int, float, float]]:
     """``(tick_cap, top1, top3)`` of each entry of a tick-cap ablation,
     ``[{"tick_cap": ..., "metrics": {"top1": ..., "top3": ...}}, ...]``,
-    in tick-cap order; a missing key raises :class:`MetricsError` naming
-    it and its entry."""
-    doc = json.loads(text)
-    if not isinstance(doc, list):
-        raise MetricsError("a tick-cap ablation is a JSON list")
+    in tick-cap order; a missing key or a value of the wrong JSON type
+    raises ValueError naming it and its entry."""
     rows = []
-    for index, entry in enumerate(doc):
+    for index, entry in enumerate(json_fields(list, json.loads(text), "tick-cap ablation")):
         where = f"ablation entry {index}"
-        tick_cap, metrics = (json_key(entry, key, where, MetricsError) for key in ("tick_cap", "metrics"))
-        top1, top3 = (json_key(metrics, key, f"{where}'s metrics", MetricsError) for key in ("top1", "top3"))
-        rows.append((tick_cap, top1, top3))
+        entry = json_fields(_AblationEntry, entry, where)
+        scores = json_fields(_Scores, entry.metrics, f"{where}'s metrics")
+        rows.append((entry.tick_cap, scores.top1, scores.top3))
     return sorted(rows, key=lambda row: row[0])
 
 

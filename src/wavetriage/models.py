@@ -166,7 +166,10 @@ def save_model(model: ClassifierModel, path) -> None:
 
 def load_model(path) -> ClassifierModel:
     with open(path, "rb") as handle:
-        payload = pickle.load(handle)
+        try:
+            payload = pickle.load(handle)
+        except Exception as exc:  # a cut or damaged file: UnpicklingError, EOFError and more
+            raise ModelError(f"{path} is not a model file: {exc}") from None
     if not isinstance(payload, dict) or payload.get("magic") != _MAGIC:
         raise ModelError(f"{path} is not a model file")
     if payload.get("version") != _FORMAT_VERSION:

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from . import rtl
 from .rtl import ModuleLookupTable, Token, UnknownModule, is_identifier
-from .sysio import json_key, json_setting, replace_file, run_template
+from .sysio import json_fields, replace_file, run_template
 
 BUG_TYPES = (
     "missing_assignment",
@@ -85,13 +85,6 @@ class MutationSpec:
     def site(self) -> tuple[int, int]:
         return (self.site_start, self.site_end)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MutationSpec":
-        return cls(**doc)
-
 
 @dataclass
 class PatchRecord:
@@ -124,41 +117,48 @@ class CheckCommands:
     vcd_out: str | None = None
 
     @classmethod
-    def from_dict(cls, doc: dict, key: str = "check") -> "CheckCommands":
-        """From a config's ``check`` object, which is config key ``key``;
-        ``timeout`` and ``vcd_out`` are optional, and a missing key or a
-        value of the wrong JSON type raises ValueError naming it."""
-        return cls(
-            compile=json_key(doc, "compile", "check object"),
-            test=json_key(doc, "test", "check object"),
-            timeout=json_setting(doc, "timeout", "float", 60.0, f"{key}.timeout"),
-            vcd_out=json_setting(doc, "vcd_out", "str", None, f"{key}.vcd_out"),
+    def from_dict(cls, doc) -> "CheckCommands":
+        """From a config's ``check`` object; ``timeout`` and ``vcd_out`` are optional."""
+        return json_fields(cls, doc, "check object")
+
+
+@dataclass(frozen=True, kw_only=True)
+class BatchSettings:
+    """The settings of an injection batch: ``pipeline``'s ``injection``
+    object, and the keys ``inject``'s config shares with it."""
+
+    check: CheckCommands
+    count: int | None = None
+    bug_types: tuple[str, ...] = BUG_TYPES
+    cache: str | None = None
+    failure_log: str | None = None
+    max_attempts: int = 5
+
+    def batch(self, modules: list[str], count: int, modules_key: str = "modules", prefix: str = ""):
+        """:func:`inject_batch` bound to these settings for ``count`` scenarios over ``modules``,
+        config key ``modules_key``; an empty list where ``count`` asks for scenarios raises
+        ValueError naming its key, with ``prefix`` in front of the keys of this object."""
+        for key, entries in ((modules_key, modules), (prefix + "bug_types", self.bug_types)):
+            if count > 0 and not entries:
+                raise ValueError(f"config key {key!r} is empty but {count} scenario(s) were requested")
+        return functools.partial(
+            inject_batch, modules=modules, bug_types=self.bug_types, count=count, check=self.check,
+            cache_path=self.cache, failure_log_path=self.failure_log, max_attempts=self.max_attempts,
         )
 
 
-def batch_from_config(doc: dict, count: int, targets=None):
-    """:func:`inject_batch` bound to the checked settings of ``inject``'s
-    config, or of ``pipeline``'s ``injection`` object when ``targets``, that
-    config's key, names the modules. A missing key, a value of the wrong
-    JSON type, or an empty list where ``count`` asks for scenarios, raises
-    ValueError naming the key."""
-    where, prefix = ("config", "") if targets is None else ("config key 'injection'", "injection.")
-    lists = {"modules": json_key(doc, "modules", where)} if targets is None else {"targets": targets}
-    lists[prefix + "bug_types"] = doc.get("bug_types", BUG_TYPES)
-    for key, entries in lists.items():
-        if count > 0 and not entries:
-            raise ValueError(f"config key {key!r} is empty but {count} scenario(s) were requested")
-    modules, bug_types = lists.values()
-    return functools.partial(
-        inject_batch,
-        modules=modules,
-        bug_types=bug_types,
-        count=count,
-        check=CheckCommands.from_dict(json_key(doc, "check", where), prefix + "check"),
-        cache_path=json_setting(doc, "cache", "str", None, prefix + "cache"),
-        failure_log_path=json_setting(doc, "failure_log", "str", None, prefix + "failure_log"),
-        max_attempts=json_setting(doc, "max_attempts", "int", 5, prefix + "max_attempts"),
-    )
+@dataclass(frozen=True, kw_only=True)
+class InjectConfig(BatchSettings):
+    """``inject``'s config."""
+
+    design_dir: str
+    modules: list[str]
+    seed: int = 0
+    count: int = 1
+
+    @classmethod
+    def from_json(cls, text: str) -> "InjectConfig":
+        return json_fields(cls, json.loads(text), "config", what="an inject config")
 
 
 def _sha256(text: str) -> str:
@@ -519,33 +519,15 @@ def _log_failure(log_path, scenario_id: str, specs: Sequence[MutationSpec], reas
         return
     with open(log_path, "a", encoding="utf-8") as handle:
         for spec in specs:
-            handle.write(
-                json.dumps(
-                    {
-                        "scenario_id": scenario_id,
-                        "file": spec.file,
-                        "site_start": spec.site_start,
-                        "site_end": spec.site_end,
-                        "bug_type": spec.bug_type,
-                        "reason": reason,
-                    }
-                )
-                + "\n"
-            )
+            site = {key: getattr(spec, key) for key in ("file", "site_start", "site_end", "bug_type")}
+            handle.write(json.dumps({"scenario_id": scenario_id, **site, "reason": reason}) + "\n")
 
 
 def append_cache(cache_path, scenario_id: str, specs: Sequence[MutationSpec]) -> None:
+    module = specs[0].target_module if specs else ""
+    entry = {"scenario_id": scenario_id, "module": module, "specs": [asdict(spec) for spec in specs]}
     with open(cache_path, "a", encoding="utf-8") as handle:
-        handle.write(
-            json.dumps(
-                {
-                    "scenario_id": scenario_id,
-                    "module": specs[0].target_module if specs else "",
-                    "specs": [spec.to_dict() for spec in specs],
-                }
-            )
-            + "\n"
-        )
+        handle.write(json.dumps(entry) + "\n")
 
 
 def load_cache(cache_path) -> list[dict]:
@@ -560,7 +542,7 @@ def load_cache(cache_path) -> list[dict]:
 
 def replay_cached(entry: dict, design_dir=".") -> list[PatchRecord]:
     """Re-apply a cached accepted scenario; reproduces the identical diff."""
-    specs = [MutationSpec.from_dict(doc) for doc in entry["specs"]]
+    specs = [json_fields(MutationSpec, doc, "mutation cache spec") for doc in entry["specs"]]
     records = []
     for spec in specs:
         records.append(apply(spec, design_dir))

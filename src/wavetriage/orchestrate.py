@@ -39,7 +39,7 @@ from .extract import (
 )
 from .rtl import DesignSources, ModuleLookupTable, scan_sources, signals_for_targets
 from .selection import SelectionError, prune
-from .sysio import json_setting, json_typed, rendered, replace_text, run_template
+from .sysio import json_fields, rendered, replace_text, run_template
 from .vcd import VcdError, parse_header, list_full_names, stream_changes
 
 
@@ -94,11 +94,9 @@ class PipelineConfig:
         or value raises ValueError naming the key and the file or source."""
         with open(path, "r", encoding="utf-8") as handle:
             try:
-                doc = json.load(handle)
+                doc = json_fields(dict, json.load(handle), "config", what="a pipeline config")
             except ValueError as exc:  # json.JSONDecodeError among them
                 raise ValueError(f"{path}: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ValueError(f"{path}: a pipeline config is a JSON object")
         doc = {key: value for key, value in doc.items() if value is not None}
         where = dict.fromkeys(doc, path)
         for key, (value, source) in (overrides or {}).items():
@@ -116,30 +114,22 @@ class PipelineConfig:
         def bad(name, says):
             return ValueError(f"{where[name]}: config key {name!r} {says}")
 
-        for name, value in doc.items():
-            try:
-                json_typed(value, known[name].type, name)
-            except ValueError as exc:
-                raise ValueError(f"{where[name]}: {exc}") from None
-        for name in ("tick_cap", "worker_count", "reseed_count"):
-            if doc.get(name, 1) < 1:
-                raise bad(name, f"must be >= 1, not {doc[name]}")
-        for name in ("stats", "models"):
-            if name in doc:
-                doc[name] = tuple(doc[name])
-        try:
-            StatSet(doc.get("stats", DEFAULT_STATS.names))
-        except ValueError as exc:
-            raise bad("stats", f"is not a stat set: {exc}") from None
-        unknown = [kind for kind in doc.get("models", ()) if kind not in models.MODEL_KINDS]
-        if unknown:
-            known_kinds = ", ".join(models.MODEL_KINDS)
-            raise bad("models", f"names unknown model kind {unknown[0]!r}; known: {known_kinds}")
-        cfg = cls(**doc)
-        try:
+        try:  # an override comes typed from its flag or variable, so a wrong type is the file's
+            cfg = json_fields(cls, doc, "config")
             _injection(cfg)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        for name in ("tick_cap", "worker_count", "reseed_count"):
+            if getattr(cfg, name) < 1:
+                raise bad(name, f"must be >= 1, not {getattr(cfg, name)}")
+        try:
+            StatSet(cfg.stats)
+        except ValueError as exc:
+            raise bad("stats", f"is not a stat set: {exc}") from None
+        unknown = [kind for kind in cfg.models if kind not in models.MODEL_KINDS]
+        if unknown:
+            known_kinds = ", ".join(models.MODEL_KINDS)
+            raise bad("models", f"names unknown model kind {unknown[0]!r}; known: {known_kinds}")
         return cfg
 
     def require_simulator(self) -> None:
@@ -151,11 +141,13 @@ class PipelineConfig:
 def _injection(cfg: PipelineConfig):
     """:func:`mutate.inject_batch` bound to the checked settings of the
     ``injection`` object, or None when injection is not enabled."""
-    inj = cfg.injection or {}
-    if not inj.get("enabled"):
+    doc = cfg.injection or {}
+    # read first: the rest of the object is needed only when injection is enabled
+    if doc.get("enabled") is None or not json_fields(bool, doc["enabled"], "config", "injection.enabled"):
         return None
-    count = json_setting(inj, "count", "int", len(cfg.targets), "injection.count")
-    return mutate.batch_from_config(inj, count, cfg.targets)
+    settings = json_fields(mutate.BatchSettings, doc, "config", "injection")
+    count = len(cfg.targets) if settings.count is None else settings.count
+    return settings.batch(cfg.targets, count, "targets", "injection.")
 
 
 @dataclass

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 
@@ -78,34 +78,32 @@ class ModuleLookupTable:
         return None
 
     def to_json(self) -> str:
-        doc = {
-            "modules": {
-                module: {dt: sorted(names) for dt, names in sorted(groups.items())}
-                for module, groups in sorted(self.entries.items())
-            },
-            "instances": {
-                module: [[child, inst] for child, inst in insts]
-                for module, insts in sorted(self.instances.items())
-            },
-            "parameters": {m: sorted(p) for m, p in sorted(self.params.items()) if p},
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        modules = {m: {dt: sorted(names) for dt, names in g.items()} for m, g in self.entries.items()}
+        params = {m: sorted(p) for m, p in self.params.items() if p}
+        return json.dumps(asdict(_TableJson(modules, self.instances, params)), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ModuleLookupTable":
-        """The table of :meth:`to_json`'s text, each key optional; a
-        document that is not a JSON object raises ValueError."""
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("a lookup table is a JSON object")
+        """The table of :meth:`to_json`'s text, each key optional; a value
+        of the wrong JSON type raises ValueError naming its key."""
+        from .sysio import json_fields  # here: a check command that only scans stays light
+
+        doc = json_fields(_TableJson, json.loads(text), "lookup table", what="a lookup table")
         table = cls()
-        for module, groups in doc.get("modules", {}).items():
+        for module, groups in doc.modules.items():
             table.entries[module] = {dt: set(names) for dt, names in groups.items()}
-            table.instances[module] = [
-                (child, inst) for child, inst in doc.get("instances", {}).get(module, [])
-            ]
-            table.params[module] = set(doc.get("parameters", {}).get(module, []))
+            table.instances[module] = doc.instances.get(module, [])
+            table.params[module] = set(doc.parameters.get(module, []))
         return table
+
+
+@dataclass
+class _TableJson:
+    """A :class:`ModuleLookupTable` as its ``to_json`` writes it."""
+
+    modules: dict[str, dict[str, list[str]]] = field(default_factory=dict)
+    instances: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
+    parameters: dict[str, list[str]] = field(default_factory=dict)
 
 
 @dataclass

@@ -9,13 +9,12 @@ instance drop their subtree.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .sysio import json_key
+from .sysio import json_fields
 
 
 class SelectionError(Exception):
@@ -45,26 +44,14 @@ class SelectionReport:
         return [name for name, _, _, _ in self.selected]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "selected": [list(entry) for entry in self.selected],
-                "dropped_count": self.dropped_count,
-                "per_target_counts": dict(sorted(self.per_target_counts.items())),
-            },
-            indent=2,
-        )
+        counts = dict(sorted(self.per_target_counts.items()))
+        return json.dumps({**asdict(self), "per_target_counts": counts}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SelectionReport":
-        """The report :meth:`to_json` wrote; a missing key raises
-        ValueError naming it."""
-        doc = json.loads(text)
-        key = functools.partial(json_key, doc, where="selection report")
-        return cls(
-            selected=[(name, code, int(width), target) for name, code, width, target in key("selected")],
-            dropped_count=int(key("dropped_count")),
-            per_target_counts={k: int(v) for k, v in key("per_target_counts").items()},
-        )
+        """The report :meth:`to_json` wrote; a missing key or a value of
+        the wrong JSON type raises ValueError naming it."""
+        return json_fields(cls, json.loads(text), "selection report")
 
 
 def _strip_index(scope: str) -> str:

@@ -1,11 +1,14 @@
 """Running a command template, replacing a file atomically, from bytes or
-from text rendered through a handle, and reading a key of a JSON document
-that came from outside, of the JSON type it must have: the contracts with
-the outside world, each with one owner here. Standard library only."""
+from text rendered through a handle, and reading a JSON document that came
+from outside into the dataclass that declares its shape: the contracts with
+the outside world, each with one owner here. Every JSON input goes through
+:func:`json_fields`, and :data:`JSON_TYPES` is its one type table.
+Standard library only."""
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -13,6 +16,8 @@ import shlex
 import shutil
 import stat
 import subprocess
+import types
+import typing
 from pathlib import Path
 
 
@@ -80,42 +85,69 @@ def rendered(write, *args) -> str:
     return buf.getvalue()
 
 
-def json_key(doc, key: str, where: str, error=ValueError):
-    """``doc[key]``; ``error`` naming ``where`` and the key when ``doc`` is
-    not a JSON object or has no such key."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise error(f"{where} has no key {key!r}")
-    return doc[key]
-
-
 def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
-# a config value's type annotation (``X | None`` is checked as ``X``: a
-# null stands for the default) -> the JSON type the value must have
+# an annotation's name (``X | None`` is read as ``X``: a null stands for the
+# default) -> the JSON type the value must have; a container not named here
+# is read item by item
 JSON_TYPES = {
     "str": ("a string", lambda value: isinstance(value, str)),
     "int": ("an integer", lambda value: type(value) is int),
     "float": ("a number", lambda value: type(value) in (int, float)),
     "bool": ("true or false", lambda value: type(value) is bool),
     "dict": ("an object", lambda value: isinstance(value, dict)),
+    "list": ("a list", lambda value: isinstance(value, list)),
     "list[str]": ("a list of strings", _strings),
     "tuple[str, ...]": ("a list of strings", _strings),
 }
 
 
-def json_typed(value, annotation: str, name: str):
-    """``value``; ValueError naming config key ``name`` when it is not of
-    the JSON type of ``annotation``, a key of :data:`JSON_TYPES`."""
-    expected, fits = JSON_TYPES[annotation.removesuffix(" | None")]
-    if not fits(value):
-        raise ValueError(f"config key {name!r} must be {expected}, not {json.dumps(value)}")
-    return value
+def json_fields(cls, doc, where: str, path: str = "", what: str | None = None):
+    """Dataclass ``cls`` read from the JSON object ``doc``, the document
+    ``where`` names or its value at key ``path``, by the fields'
+    annotations: a field with no default is required, a null stands for
+    the default, and nested dataclasses, ``list[...]``, ``tuple[...]`` and
+    ``dict[str, ...]`` are read item by item. ``cls`` may also be such an
+    annotation. A bad value raises ValueError: ``<what> is a JSON object``,
+    ``<where> key '<path>' must be <expected>, not <json>`` or ``<where>
+    has no key '<key>'``, where a nested dataclass at key ``k`` is the ``k
+    object``."""
+    if what is not None and not JSON_TYPES["dict"][1](doc):
+        raise ValueError(f"{what} is a JSON object")
+    return _read(cls, doc, where, path, f"{where} key {path!r}" if path else where)
 
 
-def json_setting(doc: dict, key: str, annotation: str, default, name: str | None = None):
-    """``doc[key]`` checked by :func:`json_typed` as config key ``name``
-    (``key`` by default), or ``default`` when it is missing or null."""
-    value = doc.get(key)
-    return default if value is None else json_typed(value, annotation, name or key)
+def _read(hint, value, where: str, path: str, noun: str = ""):
+    """``value`` at key ``path`` read as ``hint``; ``noun`` is a dataclass object's missing-key name."""
+    if isinstance(hint, types.UnionType):  # ``X | None``: the caller took a null for the default
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    name = repr(hint) if args else "dict" if dataclasses.is_dataclass(hint) else hint.__name__
+    expected, fits = JSON_TYPES.get(name) or JSON_TYPES["dict" if origin is dict else "list"]
+    fixed = origin is tuple and Ellipsis not in args
+    if not fits(value) or fixed and len(value) != len(args):
+        text = json.dumps(value)
+        shown = text if len(text) <= 80 else text[:76] + " ..."
+        expected = f"a list of {len(args)} values" if fixed else expected
+        raise ValueError(f"{f'{where} key {path!r}' if path else where} must be {expected}, not {shown}")
+    if dataclasses.is_dataclass(hint):
+        hints, values = typing.get_type_hints(hint), {}
+        for field in dataclasses.fields(hint):
+            if value.get(field.name) is not None:
+                key, item = _key(path, field.name), value[field.name]
+                values[field.name] = _read(hints[field.name], item, where, key, f"{field.name} object")
+            elif field.default is field.default_factory is dataclasses.MISSING:
+                raise ValueError(f"{noun} has no key {field.name!r}")
+        return hint(**values)
+    if name in JSON_TYPES:
+        return tuple(value) if origin is tuple else value
+    if origin is dict:
+        return {key: _read(args[1], item, where, _key(path, key)) for key, item in value.items()}
+    items = [_read(args[i if fixed else 0], item, where, f"{path}[{i}]") for i, item in enumerate(value)]
+    return tuple(items) if origin is tuple else items
+
+
+def _key(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -368,6 +369,10 @@ def test_inject_config_that_is_not_an_object_is_exit_2_naming_the_file(tmp_path,
         ("check.timeout", True, "a number"),
         ("check.vcd_out", 5, "a string"),
         ("cache", 5, "a string"),
+        ("design_dir", 5, "a string"),
+        ("modules", "core", "a list of strings"),
+        ("bug_types", "logic_bug", "a list of strings"),
+        ("check.compile", 5, "a string"),
     ],
 )
 def test_inject_config_value_of_the_wrong_json_type_is_exit_2_naming_the_key(tmp_path, capsys, key, value, expected):
@@ -1063,6 +1068,67 @@ def test_a_json_input_without_a_key_is_named_with_the_key(
     assert not (tmp_path / "out").exists()
 
 
+def _damaged(doc, path, value):
+    """``doc`` with ``value`` at key ``path``; an integer step into an
+    object takes its key of that position."""
+    *steps, last = path
+    target = doc
+    for step in steps:
+        target = target[list(target)[step] if isinstance(step, int) and isinstance(target, dict) else step]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "name, path, value, says",
+    [
+        ("tau", ("modules",), [], "lookup table key 'modules' must be an object"),
+        ("tau", ("modules", 0, "logic"), "abc",
+         "lookup table key 'modules.alu_core.logic' must be a list of strings"),
+        ("selection", ("selected", 0), [1, 2], "selection report key 'selected[0]' must be a list of 4 values"),
+        ("selection", ("dropped_count",), 2.7, "selection report key 'dropped_count' must be an integer"),
+        ("selection", ("dropped_count",), True, "selection report key 'dropped_count' must be an integer"),
+        ("meta", ("label",), 5, "rough CSV sidecar key 'label' must be a string"),
+        ("metrics", ("classes",), 5, "metrics report key 'classes' must be a list of strings"),
+        ("metrics", ("top1",), "a", "metrics report key 'top1' must be a number"),
+        ("metrics", ("confusion",), [[1]], "metrics report key 'confusion' must be a 2 x 2 matrix"),
+        ("ablation", (0, "tick_cap"), "x", "ablation entry 0 key 'tick_cap' must be an integer"),
+    ],
+    ids=[
+        "tau-modules", "tau-group", "selection-entry", "selection-float", "selection-bool", "meta-label",
+        "metrics-classes", "metrics-top1", "metrics-confusion", "ablation-tick-cap",
+    ],
+)
+def test_a_json_value_of_the_wrong_type_is_named_with_its_key_before_any_output(
+    corpus, stage_files, tmp_path, capsys, name, path, value, says
+):
+    source = Path(str(stage_files["rough"]) + ".meta.json") if name == "meta" else stage_files[name]
+    damaged = tmp_path / source.name
+    damaged.write_text(json.dumps(_damaged(json.loads(source.read_text()), path, value)))
+    if name == "meta":
+        (tmp_path / stage_files["rough"].name).write_bytes(stage_files["rough"].read_bytes())
+    gen_failing_vcd(corpus, corpus.modules[0], ticks=60, seed=1000, out_path=tmp_path / "wave.vcd")
+    argv = _stage_command(stage_files, tmp_path, name, damaged)
+    if name == "metrics":  # the confusion matrix is drawn only after every check
+        argv += ["--confusion-csv", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    says = f"{says}, not {json.dumps(value)}"
+    assert capsys.readouterr().err == f"error: {damaged}: {says}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_on_a_cut_model_file_is_exit_2_naming_it(stage_files, tmp_path, capsys):
+    cut = tmp_path / "model.bin"
+    cut.write_bytes(stage_files["model"].read_bytes()[:2000])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run("eval", "--model", str(cut), "--test", str(stage_files["dataset"]), "--json", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cut} is not a model file: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_an_environment_value_that_does_not_parse_is_named(
     corpus, stage_files, tmp_path, capsys, monkeypatch
 ):
@@ -1074,3 +1140,117 @@ def test_an_environment_value_that_does_not_parse_is_named(
         "error: environment variable WAVETRIAGE_TICK_CAP: invalid literal for int() with base 10: 'abc'\n"
     )
     assert not (tmp_path / "out").exists()
+
+
+# one value of each JSON type, for the damage table below
+_JSON_EXAMPLES = {
+    "null": None, "bool": True, "int": 7, "float": 2.5, "string": "x", "list": [1], "object": {"k": 1},
+}
+
+
+def _json_damage(doc):
+    """``(case, damaged copy)`` for each key path of ``doc``: its value
+    replaced by a value of each other JSON type, and, in an object, its key
+    dropped. A list is entered at its first item only."""
+    def paths(value, path):
+        items = value.items() if isinstance(value, dict) else enumerate(value[:1] if isinstance(value, list) else ())
+        for key, item in items:
+            yield path + (key,), item
+            yield from paths(item, path + (key,))
+
+    for path, value in paths(doc, ()):
+        kind = next(name for name, example in _JSON_EXAMPLES.items() if type(example) is type(value))
+        for name, example in _JSON_EXAMPLES.items():
+            if name != kind:
+                yield f"{list(path)} = {name}", _damaged(json.loads(json.dumps(doc)), path, example)
+        if isinstance(path[-1], str):
+            damaged = json.loads(json.dumps(doc))
+            parent = damaged
+            for step in path[:-1]:
+                parent = parent[step]
+            del parent[path[-1]]
+            yield f"{list(path)} dropped", damaged
+
+
+@pytest.fixture(scope="module")
+def damage_inputs(corpus, stage_files, tmp_path_factory):
+    """reader -> (valid document, argv that reads it from ``{path}`` and
+    writes to ``{out}``, the pattern of a downstream error that a
+    well-typed document with the wrong content may cause instead)."""
+    root = tmp_path_factory.mktemp("damage")
+    wave = root / "wave.vcd"
+    gen_failing_vcd(corpus, corpus.modules[0], ticks=60, seed=1000, out_path=wave)
+    design = root / "design"
+    shutil.copytree(corpus.root, design, ignore=shutil.ignore_patterns("vcds"))
+    inject = {
+        "design_dir": str(design),
+        "modules": [corpus.modules[0]],
+        "bug_types": ["logic_bug"],
+        "count": 0,
+        "seed": 1,
+        "check": {
+            "compile": f"{PY} {design}/check_compile.py {{design_dir}}",
+            "test": f"{PY} {design}/check_test.py {{design_dir}}",
+            "timeout": 60.0,
+        },
+        "cache": str(root / "cache.jsonl"),
+        "failure_log": str(root / "failures.jsonl"),
+        "max_attempts": 2,
+    }
+    injection = {k: v for k, v in inject.items() if k not in ("design_dir", "modules", "seed")}
+    pipeline_path = pipeline_config(corpus, root / "run", injection={"enabled": True, **injection})
+    select = ["select", "--vcd", str(wave), "--tau", "{path}", "--targets", ",".join(corpus.modules),
+              "--top-module", "soc_top", "--dut-root", "tb.dut", "--json", "{out}"]
+    extract = ["extract", "--vcd", str(wave), "--selection", "{path}", "--label", "m", "--scenario-id", "s",
+               "--tick-cap", "20", "--rough-csv", "{out}"]
+    metrics = [metrics_report(0.75).to_dict(), metrics_report(0.5).to_dict()]
+    ablation = [{"tick_cap": 200, "metrics": {"top1": 0.9, "top3": 0.95}}, {"tick_cap": 20, "metrics": metrics[0]}]
+    report = ["report", "--metrics", str(stage_files["metrics"]), "--ablation", "{path}"]
+    return {
+        "tau": (json.loads(stage_files["tau"].read_text()), select, r"unknown module|no signals selected"),
+        "selection": (json.loads(stage_files["selection"].read_text()), extract, None),
+        "meta": (json.loads(Path(str(stage_files["rough"]) + ".meta.json").read_text()),
+                 ["compress", "--rough-csv", "{path}", "--out", "{out}"], None),
+        "metrics": (metrics[0], ["report", "--metrics", "{path}", "--confusion-csv", "{out}"], None),
+        "metrics-per-kind": (dict(zip(("gbt", "knn"), metrics)), ["report", "--metrics", "{path}"], None),
+        "ablation": (ablation, report, None),
+        "inject": (inject, ["inject", "--config", "{path}", "--json", "{out}"], None),
+        "pipeline": (json.loads(pipeline_path.read_text()), ["pipeline", "--config", "{path}"], None),
+    }
+
+
+@pytest.mark.parametrize(
+    "reader", ["tau", "selection", "meta", "metrics", "metrics-per-kind", "ablation", "inject", "pipeline"]
+)
+def test_damaged_json_input_exits_0_or_2_naming_the_file(
+    damage_inputs, stage_files, tmp_path, capsys, monkeypatch, reader
+):
+    """Every key path of a valid input, replaced by each other JSON type
+    and dropped: the command that reads it exits 0 or 2, never 1, and an
+    exit 2 prints one ``error:`` line that names the damaged file, or the
+    command's own error for a well-typed document whose content it cannot
+    use. ``pipeline`` stops after its checks: its stages are not readers."""
+    from wavetriage import orchestrate
+
+    monkeypatch.setattr(orchestrate, "run_pipeline", lambda cfg, on_step: [tmp_path / "metrics.json"])
+    doc, argv, downstream = damage_inputs[reader]
+    path = tmp_path / "input.json"
+    if reader == "meta":  # compress finds the sidecar beside its rough CSV
+        shutil.copy(stage_files["rough"], tmp_path / "rough.csv")
+        path = tmp_path / "rough.csv.meta.json"
+    out = tmp_path / "out"
+    argv = [arg.format(path=str(path).removesuffix(".meta.json"), out=out) for arg in argv]
+    failures, cases = [], list(_json_damage(doc))
+    for case, damaged in cases:
+        path.write_text(json.dumps(damaged))
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except Exception as exc:  # what main lets through exits 1 with a traceback
+            failures.append(f"{case}: raised {exc!r}")
+            continue
+        err = capsys.readouterr().err
+        named = err.startswith(f"error: {path}: ") or downstream and re.match(f"error: ({downstream})", err)
+        if code not in (0, 2) or code == 2 and not (named and err.count("\n") == 1):
+            failures.append(f"{case}: exit {code}: {err!r}")
+    assert len(cases) >= 20 and failures == []

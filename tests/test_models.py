@@ -213,3 +213,18 @@ def test_load_rejects_garbage(tmp_path):
     path.write_bytes(pickle.dumps({"something": 1}))
     with pytest.raises(ModelError):
         load_model(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_cut_model_file_is_a_model_error_naming_it(tmp_path, kind):
+    from wavetriage.models import ModelError
+
+    path = tmp_path / "model.bin"
+    save_model(fit(kind, blobs(), FAST_PARAMS[kind], seed=1), path)
+    data = path.read_bytes()
+    assert len(data) > 2000
+    for cut in (2000, len(data) // 2, len(data) - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ModelError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path} is not a model file: "), (cut, info.value)

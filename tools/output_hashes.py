@@ -22,11 +22,14 @@ in front of its bytes.
 Then the stage commands run one at a time on the first test scenario of
 each module: ``scan``, ``select`` (on the first of those waveforms),
 ``extract`` per waveform, ``compress``, ``train``, ``eval --svg
---confusion-csv`` and ``report --svg --confusion-csv``. One ``chain/NAME``
-line covers each file they write, each ``*.manifest.json`` and rough-CSV
-sidecar included, and one ``chain/COMMAND:stdout`` line what each command
-printed; the temporary root is replaced by ``<work>`` in every file and
-every stdout before it is hashed.
+--confusion-csv`` and ``report --svg --confusion-csv``, and last ``report
+--ablation`` on the pipeline run's ``metrics.json`` of one report per model
+kind, with a tick-cap ablation file this script writes. One
+``chain/NAME`` line covers each file they write and the ablation file,
+each ``*.manifest.json`` and rough-CSV sidecar included, and one
+``chain/COMMAND:stdout`` line what each command printed; the temporary
+root is replaced by ``<work>`` in every file and every stdout before it is
+hashed.
 
 Last, ``inject`` runs on a copy of the design: 10 scenarios over all five
 bug types from seed ``INJECT_SEED``, checked by the design's own ``check_compile.py`` and
@@ -146,7 +149,7 @@ def stage_chain_hashes(work: Path, design) -> list[str]:
     scenarios = {module: f"test-{module}-0000" for module in design.modules}
     waves = {module: design.root / "vcds" / f"{sid}.vcd" for module, sid in scenarios.items()}
     tau, sel, data = chain / "tau.json", chain / "sel.json", chain / "data.csv"
-    model, metrics = chain / "model.bin", chain / "metrics.json"
+    model, metrics, ablation = chain / "model.bin", chain / "metrics.json", chain / "ablation.json"
     steps = [
         ("scan", ["scan", "--sources", *sorted(map(str, design.root.glob("*.sv"))), "--json", tau]),
         ("select", [
@@ -171,7 +174,12 @@ def stage_chain_hashes(work: Path, design) -> list[str]:
             "report", "--metrics", metrics,
             "--svg", chain / "report.svg", "--confusion-csv", chain / "report_confusion.csv",
         ]),
+        ("report-pipeline", ["report", "--metrics", work / "run" / "metrics.json", "--ablation", ablation]),
     ]
+    # a tick-cap ablation: the pipeline run's gbt report at its tick cap, and a report of scores only
+    run_metrics = json.loads((work / "run" / "metrics.json").read_text())
+    entries = [{"tick_cap": 250, "metrics": run_metrics["gbt"]}, {"tick_cap": 50, "metrics": {"top1": 0.5, "top3": 0.7}}]
+    ablation.write_text(json.dumps(entries, indent=2))
     lines = []
     for name, argv in steps:
         stdout = io.StringIO()
