@@ -3,10 +3,16 @@ compact statistical feature tables and classify each failure to the module
 most likely to contain the bug.
 
 Submodules are imported lazily so that lightweight consumers (the VCD
-parser, the replay simulator) do not pull in numpy.
+parser, the RTL scanner) do not pull in numpy.
 """
 
 __version__ = "0.1.0"
+
+
+class DataError(Exception):
+    """An input the tool cannot use: the base of every module's error class,
+    exit 2 on the command line. ``sysio.naming`` names the input in front."""
+
 
 _SUBMODULES = (
     "vcd",
@@ -33,4 +39,4 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = list(_SUBMODULES) + ["__version__"]
+__all__ = list(_SUBMODULES) + ["DataError", "__version__"]

@@ -10,7 +10,6 @@ primary output recording inputs, hashes and settings.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import os
@@ -18,8 +17,8 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import __version__
-from .sysio import json_fields, rendered, replace_text
+from . import DataError, __version__
+from .sysio import json_fields, naming, rendered, replace_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,42 +72,10 @@ def _write_manifest(primary_output, command: str, settings: dict, inputs, output
     replace_text(path, json.dumps(manifest, indent=2, sort_keys=True))
 
 
-@contextlib.contextmanager
-def _reading(path):
-    """Put ``path`` in front of the message of a data error raised while
-    its file is read."""
-    from .extract import ExtractError
-
-    try:
-        yield
-    except ExtractError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-    except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError among them
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _read_json(path, parse):
     """``parse`` of the text of ``path``; its data errors name the file."""
-    with _reading(path):
+    with naming(path):
         return parse(Path(path).read_text())
-
-
-def _data_errors():
-    from . import extract, metrics, models, mutate, orchestrate, ranking, rtl, selection, vcd
-
-    return (
-        vcd.VcdError,
-        rtl.RtlError,
-        selection.SelectionError,
-        extract.ExtractError,
-        models.ModelError,
-        metrics.EmptyTest,
-        ranking.CoverageGap,
-        mutate.MutateError,  # CommandNotFound among them is caught first, as external
-        orchestrate.OrchestrateError,  # SimulatorNotFound likewise
-        ValueError,
-        FileNotFoundError,
-    )
 
 
 def _external_errors():
@@ -139,10 +106,12 @@ def cmd_select(args) -> int:
     table = _read_json(args.tau, ModuleLookupTable.from_json)
     targets = [t for t in args.targets.split(",") if t]
     with open(args.vcd, "rb") as stream:
-        tree = parse_header(stream)
+        names = list_full_names(parse_header(stream))
+    with naming(args.tau):
+        signals = signals_for_targets(table, targets)
     report = prune(
-        list_full_names(tree),
-        signals_for_targets(table, targets),
+        names,
+        signals,
         table.instances,
         top_module=args.top_module,
         dut_root=args.dut_root,
@@ -171,6 +140,11 @@ def cmd_extract(args) -> int:
 
     tick_cap = _env_override("tick_cap", args.tick_cap, default=DEFAULT_TICK_CAP, cast=int)
     selection = _read_json(args.selection, SelectionReport.from_json)
+    # sample_window's own checks, made before read_window names the waveform in its errors
+    if tick_cap < 1:
+        raise ValueError("tick_cap must be >= 1")
+    if not selection.selected:
+        raise ValueError("empty selection")
 
     def select(tree):
         declared = set(list_full_names(tree))
@@ -222,7 +196,7 @@ def cmd_compress(args) -> int:
         if not meta_path.exists():
             raise ValueError(f"missing sidecar {meta_path} (produced by `extract`)")
         meta = _read_json(meta_path, _Sidecar.from_json)
-        with open(rough_path, "r", encoding="utf-8") as handle, _reading(rough_path):
+        with open(rough_path, "r", encoding="utf-8") as handle, naming(rough_path):
             window = read_rough_csv(handle, meta.label, meta.scenario_id)
         rows.append(summarize(window, stats))
     dataset = assemble(rows)
@@ -240,7 +214,7 @@ def cmd_train(args) -> int:
     from .selection import SelectionReport
 
     seed = _env_override("seed", args.seed, default=0, cast=int)
-    with open(args.train, "r", encoding="utf-8") as handle, _reading(args.train):
+    with open(args.train, "r", encoding="utf-8") as handle, naming(args.train):
         train = read_dataset_csv(handle)
     settings = {"kind": args.kind, "seed": seed}
     if args.selection:
@@ -272,7 +246,7 @@ def cmd_eval(args) -> int:
     from .models import load_model
 
     model = load_model(args.model)
-    with open(args.test, "r", encoding="utf-8") as handle, _reading(args.test):
+    with open(args.test, "r", encoding="utf-8") as handle, naming(args.test):
         test = read_dataset_csv(handle)
     report = evaluate(model, test)
     out = Path(args.json)
@@ -301,7 +275,7 @@ def cmd_inject(args) -> int:
 
     cfg = _read_json(args.config, InjectConfig.from_json)
     count = cfg.count if args.count is None else args.count
-    with _reading(args.config):
+    with naming(args.config):
         inject = cfg.batch(cfg.modules, count)
     seed = _env_override("seed", args.seed, default=cfg.seed, cast=int)
     batch = inject(cfg.design_dir, seed_base=seed * 1_000_003, keep_applied=args.keep_applied)
@@ -354,7 +328,7 @@ def cmd_pipeline(args) -> int:
     if args.stats:
         overrides["stats"] = ([s.strip() for s in args.stats.split(",") if s.strip()], "--stats")
     cfg = PipelineConfig.from_json_file(args.config, overrides)
-    with _reading(args.config):
+    with naming(args.config):
         cfg.require_simulator()
     outputs = run_pipeline(cfg, _pipeline_line)
     _write_manifest(
@@ -514,7 +488,7 @@ def main(argv=None) -> int:
     except _external_errors() as exc:
         print(f"external command failure: {exc}", file=sys.stderr)
         return EXIT_EXTERNAL
-    except _data_errors() as exc:
+    except (DataError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

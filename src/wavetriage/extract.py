@@ -19,13 +19,14 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import DataError
 from .selection import SelectionReport
 from .vcd import ValueChange
 
 DEFAULT_TICK_CAP = 2000
 
 
-class ExtractError(Exception):
+class ExtractError(DataError):
     pass
 
 
@@ -82,6 +83,8 @@ class ValueEncoding:
         except OverflowError:
             return sys.float_info.max
 
+
+_ENCODING = ValueEncoding()  # the encoding sample_window samples with
 
 _BASE_STATS = ("mean", "std", "min", "max")
 # Scaled by this, the largest float leaves room for a sum of 2**100 squares.
@@ -244,7 +247,6 @@ def sample_window(
     changes: Iterable[ValueChange],
     selection: SelectionReport,
     tick_cap: int = DEFAULT_TICK_CAP,
-    encoding: ValueEncoding = ValueEncoding(),
     label: str = "",
     scenario_id: str = "",
 ) -> WaveWindow:
@@ -273,7 +275,7 @@ def sample_window(
         raise EmptyDump(f"no value changes in dump for scenario {scenario_id!r}")
 
     # The state is a plain list; only the last tick_cap rows are kept.
-    current = [encoding.x_value] * len(names)
+    current = [_ENCODING.x_value] * len(names)
     rows: deque[list[float]] = deque(maxlen=tick_cap)
     times: deque[int] = deque(maxlen=tick_cap)
     encoded: dict[str, float] = {}
@@ -290,7 +292,7 @@ def sample_window(
         if cols:
             number = encoded.get(value)
             if number is None:
-                number = encoded[value] = encoding.encode(value)
+                number = encoded[value] = _ENCODING.encode(value)
             for col in cols:
                 current[col] = number
     rows.append(current)

@@ -555,18 +555,18 @@ def materialize_corpus(
     scenarios: list[ScenarioSpec],
     ticks: int = 300,
     sim_latency: float = 0.0,
-    tick_jitter: int = 20,
 ) -> Path:
     """Precompute one failing VCD per scenario and write manifest.json.
 
     The replay simulator serves these files through the command-template
-    contract; ``sim_latency`` emulates simulator wall time per run.
+    contract; ``sim_latency`` emulates simulator wall time per run. Each
+    waveform runs up to 20 ticks past ``ticks``, by its seed.
     """
     vcd_dir = design.root / "vcds"
     vcd_dir.mkdir(exist_ok=True)
     manifest: dict = {"design": design.top_module, "scenarios": {}}
     for spec in scenarios:
-        jitter = spec.seed % (tick_jitter + 1)
+        jitter = spec.seed % 21
         path = vcd_dir / f"{spec.scenario_id}.vcd"
         gen_failing_vcd(
             design, spec.label, ticks + jitter, spec.seed, spec.difficulty, out_path=path

@@ -14,12 +14,13 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from . import DataError
 from .extract import Dataset
 from .models import ClassifierModel
 from .sysio import json_fields
 
 
-class EmptyTest(Exception):
+class EmptyTest(DataError):
     pass
 
 
@@ -208,7 +209,7 @@ def align_columns(model: ClassifierModel, test: Dataset) -> np.ndarray:
     return test.matrix[:, cols]
 
 
-def evaluate(model: ClassifierModel, test: Dataset, k_top: int = 3) -> MetricsReport:
+def evaluate(model: ClassifierModel, test: Dataset) -> MetricsReport:
     """Score a fitted model on a labeled test dataset."""
     if len(test) == 0:
         raise EmptyTest("empty test dataset")
@@ -227,7 +228,7 @@ def evaluate(model: ClassifierModel, test: Dataset, k_top: int = 3) -> MetricsRe
     tpr, fpr = macro_rates(confusion, present)
     return MetricsReport(
         top1=topk_accuracy(probs, y, 1),
-        top3=topk_accuracy(probs, y, k_top),
+        top3=topk_accuracy(probs, y, 3),
         macro_f1=macro_f1(confusion, present),
         macro_tpr=tpr,
         macro_fpr=fpr,
@@ -237,10 +238,10 @@ def evaluate(model: ClassifierModel, test: Dataset, k_top: int = 3) -> MetricsRe
     )
 
 
-def confusion_heatmap_svg(confusion: np.ndarray, classes: Sequence[str], cell: int = 48) -> str:
+def confusion_heatmap_svg(confusion: np.ndarray, classes: Sequence[str]) -> str:
     """Self-contained SVG heatmap of a confusion matrix."""
     n = len(classes)
-    margin = 110
+    cell, margin = 48, 110
     size = margin + n * cell + 20
     peak = max(1, int(confusion.max()))
     parts = [

@@ -14,6 +14,7 @@ from typing import Any
 
 import numpy as np
 
+from . import DataError
 from .extract import Dataset
 from .sysio import replace_file
 from .trees import GBTParams, GradientBoostedTrees, RandomForest, RFParams
@@ -24,7 +25,7 @@ _MAGIC = "wavetriage-model"
 _FORMAT_VERSION = 1
 
 
-class ModelError(Exception):
+class ModelError(DataError):
     pass
 
 

@@ -29,9 +29,9 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import rtl
+from . import DataError, rtl
 from .rtl import ModuleLookupTable, Token, UnknownModule, is_identifier
-from .sysio import json_fields, replace_file, run_template
+from .sysio import json_fields, naming, replace_file, run_template
 
 BUG_TYPES = (
     "missing_assignment",
@@ -47,7 +47,7 @@ STATUS_REJECTED_SYNTAX = "rejected_syntax"
 STATUS_REJECTED_INEFFECTIVE = "rejected_ineffective"
 
 
-class MutateError(Exception):
+class MutateError(DataError):
     pass
 
 
@@ -523,30 +523,41 @@ def _log_failure(log_path, scenario_id: str, specs: Sequence[MutationSpec], reas
             handle.write(json.dumps({"scenario_id": scenario_id, **site, "reason": reason}) + "\n")
 
 
+@dataclass
+class CacheEntry:
+    """One line of the mutation cache: an accepted scenario's patches."""
+
+    scenario_id: str
+    module: str
+    specs: list[MutationSpec]
+
+
 def append_cache(cache_path, scenario_id: str, specs: Sequence[MutationSpec]) -> None:
     module = specs[0].target_module if specs else ""
-    entry = {"scenario_id": scenario_id, "module": module, "specs": [asdict(spec) for spec in specs]}
+    entry = CacheEntry(scenario_id, module, list(specs))
     with open(cache_path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry) + "\n")
+        handle.write(json.dumps(asdict(entry)) + "\n")
 
 
 def load_cache(cache_path) -> list[dict]:
+    """The cache's entries, each a JSON object of :class:`CacheEntry`'s shape;
+    a line that is not one raises ValueError naming the file and the line."""
     entries = []
     with open(cache_path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
+        for number, line in enumerate(handle, 1):
+            if line.strip():
+                with naming(f"{cache_path}:{number}"):
+                    doc = json.loads(line)
+                    json_fields(CacheEntry, doc, "mutation cache entry")
+                entries.append(doc)
     return entries
 
 
 def replay_cached(entry: dict, design_dir=".") -> list[PatchRecord]:
-    """Re-apply a cached accepted scenario; reproduces the identical diff."""
-    specs = [json_fields(MutationSpec, doc, "mutation cache spec") for doc in entry["specs"]]
-    records = []
-    for spec in specs:
-        records.append(apply(spec, design_dir))
-    return records
+    """Re-apply a cached accepted scenario, an entry of :func:`load_cache`;
+    reproduces the identical diff."""
+    specs = json_fields(CacheEntry, entry, "mutation cache entry").specs
+    return [apply(spec, design_dir) for spec in specs]
 
 
 def run_scenario(

@@ -19,12 +19,11 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
-from . import metrics, models, mutate, ranking
+from . import DataError, metrics, models, mutate, ranking
 from .extract import (
     DEFAULT_STATS,
     DEFAULT_TICK_CAP,
     Dataset,
-    ExtractError,
     FeatureRow,
     StatSet,
     WaveWindow,
@@ -38,15 +37,15 @@ from .extract import (
     write_rough_csv,
 )
 from .rtl import DesignSources, ModuleLookupTable, scan_sources, signals_for_targets
-from .selection import SelectionError, prune
-from .sysio import json_fields, rendered, replace_text, run_template
-from .vcd import VcdError, parse_header, list_full_names, stream_changes
+from .selection import prune
+from .sysio import json_fields, naming, rendered, replace_text, run_template
+from .vcd import parse_header, list_full_names, stream_changes
 
 
 STDERR_TAIL_BYTES = 2048
 
 
-class OrchestrateError(Exception):
+class OrchestrateError(DataError):
     pass
 
 
@@ -92,11 +91,8 @@ class PipelineConfig:
         default, with ``overrides`` (``{key: (value, source)}``: a flag's or
         an environment variable's value) in place of the file's. A bad key
         or value raises ValueError naming the key and the file or source."""
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                doc = json_fields(dict, json.load(handle), "config", what="a pipeline config")
-            except ValueError as exc:  # json.JSONDecodeError among them
-                raise ValueError(f"{path}: {exc}") from None
+        with open(path, "r", encoding="utf-8") as handle, naming(path):
+            doc = json_fields(dict, json.load(handle), "config", what="a pipeline config")
         doc = {key: value for key, value in doc.items() if value is not None}
         where = dict.fromkeys(doc, path)
         for key, (value, source) in (overrides or {}).items():
@@ -114,11 +110,9 @@ class PipelineConfig:
         def bad(name, says):
             return ValueError(f"{where[name]}: config key {name!r} {says}")
 
-        try:  # an override comes typed from its flag or variable, so a wrong type is the file's
+        with naming(path):  # an override comes typed from its flag or variable, so a wrong type is the file's
             cfg = json_fields(cls, doc, "config")
             _injection(cfg)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
         for name in ("tick_cap", "worker_count", "reseed_count"):
             if getattr(cfg, name) < 1:
                 raise bad(name, f"must be >= 1, not {getattr(cfg, name)}")
@@ -290,10 +284,10 @@ def read_window(vcd_path, select, tick_cap: int, label: str, scenario_id: str) -
 
     ``select`` maps the waveform's parsed header to the
     :class:`~wavetriage.selection.SelectionReport` of the signals to sample.
-    An error in the file or in its selection keeps its class and names the
-    path and the scenario.
+    An error in the file or in its selection is raised as itself, with the
+    path and the scenario in front of its message.
     """
-    try:
+    with naming(f"{vcd_path} (scenario {scenario_id})"):
         with open(vcd_path, "rb") as stream:
             selection = select(parse_header(stream))
             window = sample_window(
@@ -304,8 +298,6 @@ def read_window(vcd_path, select, tick_cap: int, label: str, scenario_id: str) -
                 scenario_id=scenario_id,
             )
         return standardize(window, tick_cap)
-    except (VcdError, ExtractError, SelectionError) as exc:
-        raise type(exc)(f"{vcd_path} (scenario {scenario_id}): {exc}") from exc
 
 
 def _process_waveform(payload) -> tuple[FeatureRow, int, bool]:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from . import models
+from . import DataError, models
 from .extract import Dataset
 from .models import SingleClass  # noqa: F401  (re-exported: ranking's own error)
 from .trees import GBTParams
@@ -27,7 +27,7 @@ DEFAULT_KEEP_FRACTION = 0.6
 DEFAULT_MAX_SIGNALS = 5000
 
 
-class CoverageGap(Exception):
+class CoverageGap(DataError):
     """A target module had zero signals before any reduction took place."""
 
 

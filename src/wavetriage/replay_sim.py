@@ -122,7 +122,7 @@ def main(argv=None) -> int:
             return 2
         if not isinstance(scenario, dict) or "vcd" not in scenario:
             raise ValueError(f"scenario {scenario_id!r} is not an object with a 'vcd'")
-        latency = float(args.get("latency", scenario.get("sim_latency", 0.0)))
+        latency = float(scenario.get("sim_latency", 0.0))
     except ValueError as exc:
         print(f"replay_sim: {manifest_path}: {exc}", file=sys.stderr)
         return 2

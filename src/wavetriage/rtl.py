@@ -18,8 +18,10 @@ import re
 from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
+from . import DataError
 
-class RtlError(Exception):
+
+class RtlError(DataError):
     pass
 
 

@@ -14,10 +14,11 @@ import re
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
+from . import DataError
 from .sysio import json_fields
 
 
-class SelectionError(Exception):
+class SelectionError(DataError):
     pass
 
 

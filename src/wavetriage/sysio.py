@@ -1,9 +1,9 @@
 """Running a command template, replacing a file atomically, from bytes or
-from text rendered through a handle, and reading a JSON document that came
-from outside into the dataclass that declares its shape: the contracts with
-the outside world, each with one owner here. Every JSON input goes through
-:func:`json_fields`, and :data:`JSON_TYPES` is its one type table.
-Standard library only."""
+from text rendered through a handle, reading a JSON document that came
+from outside into the dataclass that declares its shape, and naming the
+input a data error came from: the contracts with the outside world, each
+with one owner here. Every JSON input goes through :func:`json_fields`,
+and :data:`JSON_TYPES` is its one type table. Standard library only."""
 
 from __future__ import annotations
 
@@ -19,6 +19,8 @@ import subprocess
 import types
 import typing
 from pathlib import Path
+
+from . import DataError
 
 
 def run_template(template: str, timeout: float, **values) -> tuple[int | None, bytes]:
@@ -76,6 +78,21 @@ def replace_file(path, data: bytes) -> None:
 def replace_text(path, text: str) -> None:
     """:func:`replace_file` with ``text`` in UTF-8."""
     replace_file(path, text.encode("utf-8"))
+
+
+@contextlib.contextmanager
+def naming(where: str):
+    """Put ``where: `` in front of the message of a data error raised
+    inside: a :class:`~wavetriage.DataError` keeps its object, class,
+    attributes and traceback, and any other ValueError (json's, a codec's)
+    becomes a plain ValueError."""
+    try:
+        yield
+    except DataError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def rendered(write, *args) -> str:

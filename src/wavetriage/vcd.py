@@ -15,9 +15,10 @@ The reader is split in two halves that share one file object:
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Union
+
+from . import DataError
 
 TIME_UNITS = ("s", "ms", "us", "ns", "ps", "fs")
 TIME_MAGNITUDES = (1, 10, 100)
@@ -49,7 +50,7 @@ _BODY_KEYWORDS = frozenset(
 )
 
 
-class VcdError(Exception):
+class VcdError(DataError):
     """Base class for all VCD format errors."""
 
 
@@ -431,23 +432,14 @@ def header_text(tree: ScopeTree) -> str:
     return "".join(lines)
 
 
-def write_vcd(
-    tree: ScopeTree,
-    changes: Iterable[ValueChange],
-    out: IO | None = None,
-) -> bytes | None:
-    """Emit a canonically formatted VCD file.
+def write_vcd(tree: ScopeTree, changes: Iterable[ValueChange]) -> bytes:
+    """The bytes of a canonically formatted VCD file.
 
     Every change's id must be declared in ``tree`` and times must be
     non-decreasing; :func:`parse_header` + :func:`stream_changes` on the
     output recover an equivalent tree and change list.
     """
-    sink = out if out is not None else io.BytesIO()
-
-    def emit(text: str):
-        sink.write(text.encode("latin-1"))
-
-    emit(header_text(tree))
+    parts = [header_text(tree)]
 
     widths = tree.id_widths()
     last_time: int | None = None
@@ -460,10 +452,7 @@ def write_vcd(
             raise TimeRegression(f"time went backwards: {last_time} -> {change.time}")
         line = change_line(change.value, change.id_code, widths[change.id_code])
         if change.time != last_time:
-            emit(f"#{change.time}\n")
+            parts.append(f"#{change.time}\n")
             last_time = change.time
-        emit(line)
-
-    if out is None:
-        return sink.getvalue()
-    return None
+        parts.append(line)
+    return "".join(parts).encode("latin-1")

@@ -98,6 +98,27 @@ def test_select_lookup_table_that_is_not_an_object_is_exit_2_naming_the_file(cor
     assert capsys.readouterr().err == f"error: {tau}: a lookup table is a JSON object\n"
 
 
+def test_select_lookup_table_without_a_target_module_is_exit_2_naming_the_file(corpus, tmp_path, capsys):
+    tau = tmp_path / "tau.json"
+    sources = sorted(str(p) for p in corpus.root.glob("*.sv"))
+    assert run("scan", "--sources", *sources, "--json", str(tau)) == 0
+    doc = json.loads(tau.read_text())
+    del doc["modules"]["alu_core"]
+    tau.write_text(json.dumps(doc))
+    wave = tmp_path / "wave.vcd"
+    gen_failing_vcd(corpus, corpus.modules[0], ticks=50, seed=1000, out_path=wave)
+    out = tmp_path / "sel.json"
+    capsys.readouterr()
+    code = run(
+        "select", "--vcd", str(wave), "--tau", str(tau), "--targets", ",".join(corpus.modules),
+        "--top-module", "soc_top", "--dut-root", "tb.dut", "--json", str(out),
+    )
+    assert "alu_core" in corpus.modules
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {tau}: unknown module 'alu_core'\n"
+    assert not out.exists()
+
+
 def _selected_fixture_waveform(corpus, tmp_path):
     """A fixture waveform and the selection report ``select`` writes for it."""
     tau = tmp_path / "tau.json"

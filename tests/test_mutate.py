@@ -1,5 +1,7 @@
+import json
 import random
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -365,6 +367,22 @@ class TestScenarioLoop:
             expected = plan_scenario(design, "m.sv", table_for(), "m", [bug_type], 7 + i * 101)
             assert [p.spec for p in scenario.patches] == expected
         assert read_source(design / "m.sv") == MODULE_TEXT
+
+
+def test_a_cache_line_that_is_not_an_entry_is_named_with_the_file_and_the_line(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    spec = plan_for("logic_bug")
+    append_cache(cache, "s0", [spec])
+    first = cache.read_text()
+    assert first == json.dumps({"scenario_id": "s0", "module": "m", "specs": [asdict(spec)]}) + "\n"
+    for line, says in (
+        ("[1]", "mutation cache entry must be an object, not [1]"),
+        ('{"scenario_id": "s1", "module": "m"}', "mutation cache entry has no key 'specs'"),
+    ):
+        cache.write_text(first + line + "\n")
+        with pytest.raises(ValueError) as info:
+            load_cache(cache)
+        assert str(info.value) == f"{cache}:2: {says}"
 
 
 def test_check_commands_from_dict_defaults():

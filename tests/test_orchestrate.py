@@ -456,6 +456,33 @@ def test_extraction_error_names_file_and_scenario(corpus, tmp_path, corrupt, err
     assert jobs[3].scenario_id in str(info.value)
 
 
+def test_read_window_reraises_the_parser_error_itself_naming_file_and_scenario(corpus, tmp_path, monkeypatch):
+    """The error of a corrupted waveform reaches the caller as the object
+    the parser raised, class and all, with the path and the scenario in
+    front of its message."""
+    from wavetriage import orchestrate, vcd
+    from wavetriage.selection import SelectionReport
+
+    raised = []
+
+    def recording(stream):
+        try:
+            yield from vcd.stream_changes(stream)
+        except vcd.VcdError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(orchestrate, "stream_changes", recording)
+    bad = tmp_path / "bad.vcd"
+    _corrupt_body(Path(_fixture_jobs(corpus, 1)[0].vcd_paths[0]), bad)
+    report = SelectionReport([("tb.dut.x", "!", 1, "m")], 0, {"m": 1})
+    with pytest.raises(MalformedChange) as info:
+        orchestrate.read_window(bad, lambda tree: report, 20, "m", "s-7")
+    (original,) = raised
+    assert info.value is original
+    assert str(original).startswith(f"{bad} (scenario s-7): ")
+
+
 def test_non_finite_real_before_the_window_gives_a_row(corpus, tmp_path):
     """An ``rinf`` overwritten before the last ``tick_cap`` ticks never
     reaches the window: the row is that of the all-finite waveform."""

@@ -1,4 +1,8 @@
+import importlib
+import inspect
+import json
 import os
+import pkgutil
 import shlex
 import stat
 import subprocess
@@ -7,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from wavetriage import sysio
-from wavetriage.sysio import replace_file, run_template
+import wavetriage
+from wavetriage import DataError, sysio
+from wavetriage.mutate import NoEligibleSite
+from wavetriage.rtl import ParseError
+from wavetriage.sysio import naming, replace_file, run_template
 
 PY = shlex.quote(sys.executable)
 SRC = Path(sysio.__file__).parent
@@ -112,3 +119,43 @@ def test_package_attribute_imports_sysio_in_a_fresh_interpreter():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "replace_file\n"
+
+
+def test_every_error_class_of_the_package_is_a_data_error():
+    """``cli`` exits 2 on a DataError, so no module's error needs listing there."""
+    classes = [
+        obj
+        for info in pkgutil.iter_modules(wavetriage.__path__)
+        for obj in vars(importlib.import_module(f"wavetriage.{info.name}")).values()
+        if inspect.isclass(obj) and issubclass(obj, BaseException) and obj.__module__ == f"wavetriage.{info.name}"
+    ]
+    outside = [f"{cls.__module__}.{cls.__qualname__}" for cls in classes if not issubclass(cls, DataError)]
+    assert len(classes) > 30 and outside == ["wavetriage.cli._UsageError"]
+
+
+def _raise(error):
+    raise error
+
+
+@pytest.mark.parametrize(
+    "error, attributes",
+    [
+        (ParseError("a.sv", 3, "';'"), {"file": "a.sv", "line": 3, "expected": "';'"}),
+        (NoEligibleSite("logic_bug", "m"), {"bug_type": "logic_bug", "module": "m"}),
+    ],
+)
+def test_naming_puts_the_input_in_front_of_the_error_itself(error, attributes):
+    message = str(error)
+    with pytest.raises(type(error)) as info, naming("in.json"):
+        _raise(error)
+    assert info.value is error
+    assert str(error) == f"in.json: {message}"
+    assert {key: getattr(error, key) for key in attributes} == attributes
+    assert info.traceback[-1].name == "_raise"
+
+
+def test_naming_turns_any_other_value_error_into_a_plain_one():
+    with pytest.raises(ValueError) as info, naming("in.json"):
+        json.loads("{")
+    assert type(info.value) is ValueError
+    assert str(info.value) == "in.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
