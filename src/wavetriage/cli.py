@@ -78,10 +78,14 @@ def _read_json(path, parse):
         return parse(Path(path).read_text())
 
 
-def _external_errors():
-    from . import mutate, orchestrate
-
-    return (orchestrate.SimulatorNotFound, mutate.CommandNotFound)
+def _external_errors() -> tuple[type[Exception], ...]:
+    """The error classes of a failed external command, each taken only
+    from a module already loaded: one never loaded cannot have raised."""
+    classes = (
+        (f"{__package__}.orchestrate", "SimulatorNotFound"),
+        (f"{__package__}.mutate", "CommandNotFound"),
+    )
+    return tuple(getattr(sys.modules[name], cls) for name, cls in classes if name in sys.modules)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +109,7 @@ def cmd_select(args) -> int:
 
     table = _read_json(args.tau, ModuleLookupTable.from_json)
     targets = [t for t in args.targets.split(",") if t]
-    with open(args.vcd, "rb") as stream:
+    with open(args.vcd, "rb") as stream, naming(args.vcd):
         names = list_full_names(parse_header(stream))
     with naming(args.tau):
         signals = signals_for_targets(table, targets)

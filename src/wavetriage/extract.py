@@ -14,14 +14,14 @@ import io
 import sys
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import islice
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import DataError
 from .selection import SelectionReport
-from .vcd import ValueChange
+from .vcd import _BODY_KEYWORDS, _DROP_VECTOR_CHARS, ChangeStream, ValueChange
 
 DEFAULT_TICK_CAP = 2000
 
@@ -258,6 +258,14 @@ def sample_window(
     window start hold the encoding's ``x_value``. A non-finite value
     in the window raises ``NonFiniteReal``; one overwritten before the window
     start is harmless.
+
+    One window builder has two feeders. A :class:`~wavetriage.vcd.ChangeStream`
+    from ``vcd.stream_changes`` hands over its text blocks, which are decoded
+    into columns with numpy; a block the decoder declines goes through the
+    stream's per-token loop, which raises any error in it, and so does a
+    body given line by line or already pulled from. Any other
+    iterable of ``ValueChange`` is collected into the same columns, 4,096
+    changes at a time.
     """
     if tick_cap < 1:
         raise ValueError("tick_cap must be >= 1")
@@ -265,40 +273,18 @@ def sample_window(
         raise ValueError("empty selection")
 
     names = selection.full_names()
-    columns: dict[str, list[int]] = {}
-    for index, (_, id_code, _, _) in enumerate(selection.selected):
-        columns.setdefault(id_code, []).append(index)
-
-    changes = iter(changes)
-    first = next(changes, None)
-    if first is None:
+    ids = _SelectedIds(selection)
+    window = _WindowBuilder(len(names), tick_cap)
+    if isinstance(changes, ChangeStream) and not changes.id_filter:
+        for block in changes.blocks(ids.decode):
+            # the columns of a decoded block, or the changes of one it declined
+            window.add([block] if isinstance(block, tuple) else ids.collect(block))
+    else:
+        window.add(ids.collect(changes))
+    if window.time is None:
         raise EmptyDump(f"no value changes in dump for scenario {scenario_id!r}")
 
-    # The state is a plain list; only the last tick_cap rows are kept.
-    current = [_ENCODING.x_value] * len(names)
-    rows: deque[list[float]] = deque(maxlen=tick_cap)
-    times: deque[int] = deque(maxlen=tick_cap)
-    encoded: dict[str, float] = {}
-    cur_time = first[0]
-    available = 1
-
-    for t, id_code, value in chain((first,), changes):
-        if t > cur_time:
-            rows.append(current[:])
-            times.append(cur_time)
-            cur_time = t
-            available += 1
-        cols = columns.get(id_code)
-        if cols:
-            number = encoded.get(value)
-            if number is None:
-                number = encoded[value] = _ENCODING.encode(value)
-            for col in cols:
-                current[col] = number
-    rows.append(current)
-    times.append(cur_time)
-
-    matrix = np.array(list(rows), dtype=np.float64)
+    matrix, times = window.rows()
     finite = np.isfinite(matrix)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -308,12 +294,349 @@ def sample_window(
         )
     return WaveWindow(
         matrix=matrix,
-        tick_times=np.array(list(times), dtype=np.int64),
+        tick_times=times,
         signals=list(names),
         label=label,
         scenario_id=scenario_id,
-        available_ticks=available,
+        available_ticks=window.available,
     )
+
+
+# The columns of a run of changes: every change's time, then the position
+# among them, the column and the encoded value of each selected write.
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+_COLLECT_CHUNK = 4096
+_KEY_BYTES = 7  # an id's bytes and their count fill one 8-byte key
+_WORD_BITS = 64  # a vector up to this wide is decoded as one integer
+_MAX_FAST_DIGITS = 18  # a longer timestamp may not fit an int64
+_MAX_FAST_TIME = 2**63 - 1  # the last time an int64 holds
+_PAD = " " * 64  # in front of a block: a window of 64 bytes fits before any token's end
+_SHORTEST_KEYWORD = min(map(len, _BODY_KEYWORDS))
+
+# Token classes by first byte, and the ones that only a token's place gives.
+_OTHER, _SCALAR, _STAMP, _WORD, _VECTOR, _REAL, _VECTOR_ID, _SKIPPED = range(8)
+_FIRST_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_FIRST_CLASS[list(b"01xXzZ")] = _SCALAR
+_FIRST_CLASS[ord("#")] = _STAMP
+_FIRST_CLASS[ord("$")] = _WORD
+_FIRST_CLASS[list(b"bB")] = _VECTOR
+_FIRST_CLASS[list(b"rR")] = _REAL
+# the bytes a right-aligned span of c bytes fills in a little-endian 8-byte word
+_FILLED = np.array([((1 << 8 * c) - 1) << 8 * (8 - c) for c in range(9)], dtype="<u8")
+_DIGIT_WEIGHTS = np.array([10**e if e <= _MAX_FAST_DIGITS else 0 for e in range(23, -1, -1)], dtype=np.int64)
+# In an 8-byte word of 0/1/x/X/z/Z characters: bit 0 of each, the factor
+# that gathers those eight bits into the top byte (the first character
+# highest), and bit 6, which only x, X, z and Z have.
+_LOW_BITS = np.uint64(0x0101010101010101)
+_GATHER_BITS = np.uint64(0x8040201008040201)
+_UNKNOWN_BITS = np.uint64(0x4040404040404040)
+# the number of a scalar's value byte, and of a one-bit vector's
+_CODE_NUMBER = np.full(256, np.nan)
+_CODE_NUMBER[list(b"01xXzZ")] = [0.0, 1.0] + [_ENCODING.x_value] * 2 + [_ENCODING.z_value] * 2
+
+
+_BLANK = np.zeros(256, dtype=bool)  # the bytes str.split() splits at
+_BLANK[list(b"\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0")] = True
+
+
+def _split_points(data: np.ndarray) -> np.ndarray:
+    """Where ``data`` (latin-1 text that starts and ends blank) turns from
+    whitespace to a token or back, as ``str.split()`` sees it."""
+    blank = np.take(_BLANK, data)
+    return np.flatnonzero(blank[1:] != blank[:-1]) + 1
+
+
+def _right_aligned(
+    data: np.ndarray, ends: np.ndarray, lengths: np.ndarray, width: int, fill: int
+) -> np.ndarray:
+    """The spans ``data[end - length:end]`` right-aligned in rows of
+    ``width`` bytes (a multiple of 8, at most ``len(_PAD)``) with ``fill``
+    before them, as one little-endian 8-byte word per 8 bytes."""
+    windows = np.ndarray((len(data) - width + 1,), dtype=f"V{width}", buffer=data, strides=(1,))
+    words = windows[ends - width].view("<u8").reshape(len(ends), width // 8)
+    filled = _FILLED[np.clip(lengths[:, None] - 8 * np.arange(width // 8 - 1, -1, -1), 0, 8)]
+    return (words & filled) | (np.uint64(fill * 0x0101010101010101) & ~filled)
+
+
+def _keys(data: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """One key per id ``data[end - length:end]`` of at most ``_KEY_BYTES``
+    bytes: its bytes, with its length in front."""
+    return _right_aligned(data, ends, lengths, 8, 0)[:, 0] | lengths.astype(np.uint64)
+
+
+def _comments(text: str, starts: np.ndarray, firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """Which tokens ``text[start:end]`` lie in a comment, from a
+    ``$comment`` to the next ``$end``, both included; None when the last
+    comment goes on past the text."""
+    inside = np.zeros(len(starts), dtype=bool)
+    opened = None
+    for k in np.flatnonzero((firsts == ord("$")) & ((lengths == 4) | (lengths == 8))).tolist():
+        token = text[starts[k] : starts[k] + lengths[k]]
+        if opened is None and token == "$comment":
+            opened = k
+        elif opened is not None and token == "$end":
+            inside[opened : k + 1] = True
+            opened = None
+    return None if opened is not None else inside
+
+
+class _Encoded(dict):
+    """Each value string's number, encoded once."""
+
+    def __missing__(self, value: str) -> float:
+        number = self[value] = _ENCODING.encode(value)
+        return number
+
+
+class _SelectedIds:
+    """The selected id codes and their columns, for both feeders of the window."""
+
+    def __init__(self, selection: SelectionReport):
+        columns: dict[str, list[int]] = {}
+        for index, (_, id_code, _, _) in enumerate(selection.selected):
+            columns.setdefault(id_code, []).append(index)
+        self.group = {id_code: g for g, id_code in enumerate(columns)}
+        self.counts = np.array([len(cols) for cols in columns.values()])  # an id may alias columns
+        self.columns = np.array([col for cols in columns.values() for col in cols])
+        self.first_column = np.cumsum(self.counts) - self.counts
+        self.encoded = _Encoded()
+
+        # the ids that fit a key, by key; a longer one is looked up by its text
+        fits = {}
+        for id_code, g in self.group.items():
+            try:
+                raw = id_code.encode("latin-1")
+            except UnicodeEncodeError:
+                continue  # a block that holds it does not encode
+            if len(raw) <= _KEY_BYTES:
+                fits[raw] = g
+        lengths = np.array([len(raw) for raw in fits], dtype=np.intp)
+        data = np.frombuffer(_PAD.encode() + b"".join(fits), np.uint8)
+        keys = _keys(data, len(_PAD) + np.cumsum(lengths), lengths)
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        self.key_group = np.array(list(fits.values()), dtype=np.intp)[order]
+
+    def writes(self, times, positions, groups, values) -> _Columns:
+        """The columns of changes at ``times`` whose selected ones sit at
+        ``positions`` with id ``groups`` and ``values``."""
+        counts = self.counts[groups]
+        item = np.repeat(np.arange(len(groups)), counts)
+        nth = np.arange(len(item)) - np.repeat(np.cumsum(counts) - counts, counts)
+        return times, positions[item], self.columns[self.first_column[groups[item]] + nth], values[item]
+
+    def collect(self, changes: Iterable[ValueChange]) -> Iterator[_Columns]:
+        """The columns of any iterable of changes, ``_COLLECT_CHUNK`` at a time."""
+        changes = iter(changes)
+        group, encoded = self.group.get, self.encoded
+        while chunk := list(islice(changes, _COLLECT_CHUNK)):
+            # each run of equal times once, by where it starts
+            firsts, stamps, positions, groups, numbers = [], [], [], [], []
+            last = None
+            for k, (t, id_code, value) in enumerate(chunk):
+                if t != last:
+                    firsts.append(k)
+                    stamps.append(t)
+                    last = t
+                g = group(id_code)
+                if g is not None:
+                    positions.append(k)
+                    groups.append(g)
+                    numbers.append(encoded[value])
+            runs = np.diff(firsts, append=len(chunk))
+            yield self.writes(
+                np.repeat(np.array(stamps, dtype=np.int64), runs),
+                np.array(positions, dtype=np.intp),
+                np.array(groups, dtype=np.intp),
+                np.array(numbers, dtype=np.float64),
+            )
+
+    def lookup(self, text: str, data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The id group of each id ``text[start:end]`` (``data`` is its
+        bytes), or -1."""
+        lengths = ends - starts
+        groups = np.full(len(ends), -1, dtype=np.intp)
+        if len(self.keys):
+            keys = _keys(data, ends, lengths)  # of no use for a longer id, which is looked up below
+            near = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+            groups = np.where(self.keys[near] == keys, self.key_group[near], -1)
+        for k in np.flatnonzero(lengths > _KEY_BYTES).tolist():
+            groups[k] = self.group.get(text[starts[k] : ends[k]], -1)
+        return groups
+
+    def decode(self, text: str, time: int) -> tuple[_Columns, int, int] | None:
+        """The columns of one block of body text that starts at a record
+        boundary after the timestamp ``time``, the block's last timestamp,
+        and how many of its characters were read: a last value whose id is
+        in the next block is left to be read with that block. None for a
+        block that is not latin-1, that ends inside a comment, or that the
+        per-token loop of :class:`~wavetriage.vcd.ChangeStream` would
+        reject or read otherwise."""
+        if time > _MAX_FAST_TIME:
+            return None
+        text = _PAD + text + " "
+        try:
+            data = np.frombuffer(text.encode("latin-1"), np.uint8)
+        except UnicodeEncodeError:
+            return None
+        bounds = _split_points(data)
+        starts, ends = bounds[0::2], bounds[1::2]
+        lengths = ends - starts
+        first = data[starts]
+        kind = np.take(_FIRST_CLASS, first)
+        skipped = _comments(text, starts, first, lengths)
+        if skipped is None:
+            return None
+        used = len(text) - len(_PAD) - 1
+
+        # In a run of tokens that start with b/B/r/R, values and their ids
+        # alternate; the token after a run that ends on a value is its id.
+        values = np.flatnonzero(((kind == _VECTOR) | (kind == _REAL)) & ~skipped)
+        if len(values):
+            run_start = np.ones(len(values), dtype=bool)
+            run_start[1:] = values[1:] != values[:-1] + 1
+            nth = np.arange(len(values))
+            values = values[(nth - np.maximum.accumulate(np.where(run_start, nth, 0))) % 2 == 0]
+            if values[-1] == len(kind) - 1:  # its id is in the next block
+                used = int(starts[values[-1]]) - len(_PAD)
+                values = values[:-1]
+            if skipped[values + 1].any():
+                return None  # a value before $comment
+            kind[values + 1] = _VECTOR_ID
+        kind[skipped] = _SKIPPED
+        if (kind == _OTHER).any() or (lengths[kind == _SCALAR] < 2).any():
+            return None
+        # a word must be a keyword, and an id no keyword
+        word = kind == _WORD
+        maybe_keyword = (kind == _VECTOR_ID) & (first == ord("$")) & (lengths >= _SHORTEST_KEYWORD)
+        for k in np.flatnonzero(word | maybe_keyword).tolist():
+            if (text[starts[k] : ends[k]] in _BODY_KEYWORDS) != word[k]:
+                return None
+
+        # each token's number: a scalar's, or the value's before an id
+        numbers = np.take(_CODE_NUMBER, first)
+        bits = lengths[values] - 1
+        word_vector = (kind[values] == _VECTOR) & (bits >= 1) & (bits <= _WORD_BITS)
+        for k in values[~word_vector].tolist():
+            # a real, or a vector without bits or too wide for one integer
+            token = text[starts[k] : ends[k]]
+            if token[0] in "rR":
+                try:
+                    float(token[1:])
+                except ValueError:
+                    return None
+                value = "r" + token[1:]
+            else:
+                value = token[1:].lower()
+                if not value or value.translate(_DROP_VECTOR_CHARS):
+                    return None
+            numbers[k + 1] = self.encoded[value]
+        # the others by width class, each right-aligned in rows of 8, 16, 32 or 64 bytes
+        vectors, bits = values[word_vector], bits[word_vector]
+        width_class = np.searchsorted([8, 16, 32], bits)
+        for c in np.flatnonzero(np.bincount(width_class, minlength=4)).tolist():
+            at = np.flatnonzero(width_class == c)
+            words = _right_aligned(data, ends[vectors[at]], bits[at], 8 << c, ord("0"))
+            chars = words.view(np.uint8)
+            if not (((chars & 0xFE) == ord("0")) | ((chars & 0xDD) == ord("X"))).all():
+                return None  # a character other than 0, 1, x, X, z and Z
+            # bit 0 of each character, eight to a byte, the first one highest
+            packed = ((words & _LOW_BITS) * _GATHER_BITS) >> np.uint64(56)
+            shifts = np.arange(8 * words.shape[1] - 8, -1, -8, dtype=np.uint64)
+            number = (packed << shifts).sum(axis=1).astype(np.float64)
+            number[np.bitwise_or.reduce(words & _UNKNOWN_BITS, axis=1) != 0] = _ENCODING.x_value
+            one_bit = bits[at] == 1
+            number[one_bit] = np.take(_CODE_NUMBER, words[one_bit, -1] >> np.uint64(56))
+            numbers[vectors[at] + 1] = number
+
+        stamps = np.flatnonzero(kind == _STAMP)
+        digits = lengths[stamps] - 1
+        if (digits < 1).any() or (digits > _MAX_FAST_DIGITS).any():
+            return None
+        width = -(-int(digits.max(initial=1)) // 8) * 8
+        rows = _right_aligned(data, ends[stamps], digits, width, ord("0")).view(np.uint8) - np.uint8(ord("0"))
+        if (rows > 9).any():
+            return None
+        ticks = rows @ _DIGIT_WEIGHTS[-width:]
+        if len(ticks) and (ticks[0] < time or (ticks[1:] < ticks[:-1]).any()):
+            return None  # the per-token loop raises TimeRegression there
+
+        # the changes in file order: each scalar, and the id after each value
+        scalar = kind == _SCALAR
+        tokens = np.flatnonzero(scalar | (kind == _VECTOR_ID))
+        times = np.concatenate(([time], ticks))[np.cumsum(kind == _STAMP)[tokens]]
+        groups = self.lookup(text, data, starts[tokens] + scalar[tokens], ends[tokens])
+        positions = np.flatnonzero(groups >= 0)
+        end_time = int(ticks[-1]) if len(ticks) else time
+        columns = self.writes(times, positions, groups[positions], numbers[tokens[positions]])
+        return columns, end_time, used
+
+
+class _WindowBuilder:
+    """The last ``tick_cap`` rows of a waveform, built from its columns run
+    by run: a scatter of each run's writes, then a forward fill."""
+
+    def __init__(self, signals: int, tick_cap: int):
+        self.tick_cap = tick_cap
+        self.state = np.full(signals, _ENCODING.x_value)  # the open row
+        self.time: int | None = None  # the open row's time
+        self.available = 0
+        self.kept: deque[tuple[np.ndarray, np.ndarray]] = deque()  # closed rows and their times
+        self.kept_rows = 0
+
+    def add(self, runs: Iterable[_Columns]) -> None:
+        for times, positions, columns, values in runs:
+            if len(times):
+                self._add(times, positions, columns, values)
+
+    def _add(self, times, positions, columns, values) -> None:
+        signals = len(self.state)
+        if self.time is None:
+            self.time, self.available = times[0], 1
+        # a change opens a row when its time is past every earlier one
+        latest = np.maximum.accumulate(times)
+        opens = np.empty(len(times), dtype=bool)
+        opens[0] = latest[0] > self.time
+        opens[1:] = latest[1:] > latest[:-1]
+        row_of = np.cumsum(opens)
+        opened = int(row_of[-1])
+        row_times = np.concatenate(([self.time], latest[opens]))
+        low = max(0, opened + 1 - self.tick_cap)  # rows before it cannot reach the window
+
+        rows = row_of[positions] - low
+        cut = int(np.searchsorted(rows, 0))
+        if cut:  # writes before the kept rows land in the state they start from
+            last = np.full(signals, -1, dtype=np.intp)
+            np.maximum.at(last, columns[:cut], np.arange(cut))
+            written = np.flatnonzero(last >= 0)
+            self.state[written] = values[last[written]]
+        writer = np.full((opened + 1 - low, signals), -1, dtype=np.intp)
+        np.maximum.at(writer.reshape(-1), rows[cut:] * signals + columns[cut:], np.arange(cut, len(rows)))
+        writer = np.maximum.accumulate(writer, axis=0)
+        source = np.where(writer >= 0, writer + signals, np.arange(signals))
+        matrix = np.concatenate((self.state, values))[source]
+
+        self._keep(matrix[:-1], row_times[low:opened])
+        self.state = matrix[-1]
+        self.time = row_times[opened]
+        self.available += opened
+
+    def _keep(self, rows: np.ndarray, times: np.ndarray) -> None:
+        """Keep closed rows, dropping the oldest runs while the others
+        still hold the ``tick_cap - 1`` rows before the open one."""
+        if len(rows):
+            self.kept.append((rows, times))
+            self.kept_rows += len(rows)
+        while self.kept and self.kept_rows - len(self.kept[0][0]) >= self.tick_cap - 1:
+            self.kept_rows -= len(self.kept.popleft()[0])
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The window's matrix and its row times."""
+        kept = list(self.kept) + [(self.state[None], np.array([self.time], dtype=np.int64))]
+        matrix = np.concatenate([rows for rows, _ in kept])[-self.tick_cap :]
+        times = np.concatenate([t for _, t in kept])[-self.tick_cap :]
+        return matrix, times
 
 
 def standardize(window: WaveWindow, tick_cap: int = DEFAULT_TICK_CAP) -> WaveWindow:
@@ -333,8 +656,10 @@ def standardize(window: WaveWindow, tick_cap: int = DEFAULT_TICK_CAP) -> WaveWin
             tick_times=window.tick_times[-tick_cap:],
         )
     pad = tick_cap - rows
-    matrix = np.vstack([np.zeros((pad, window.matrix.shape[1])), window.matrix])
-    times = np.concatenate([np.full(pad, -1, dtype=np.int64), window.tick_times])
+    matrix = np.zeros((tick_cap, window.matrix.shape[1]))
+    matrix[pad:] = window.matrix
+    times = np.full(tick_cap, -1, dtype=np.int64)
+    times[pad:] = window.tick_times
     return replace(window, matrix=matrix, tick_times=times)
 
 
@@ -502,11 +827,27 @@ def read_rough_csv(stream: IO[str], label: str, scenario_id: str) -> WaveWindow:
     )
 
 
+_TEN_POWERS = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
 def rough_csv_size(window: WaveWindow) -> int:
     """Characters :func:`write_rough_csv` writes for ``window``, without
     formatting the rows: each row is the tick, one comma and ``repr`` per
-    value, and a newline (no ``repr`` of a float needs CSV quoting)."""
+    value, and a newline (no ``repr`` of a float needs CSV quoting).
+
+    The leading rows of :func:`standardize`'s padding (tick ``-1``, every
+    value ``0.0``) are counted by arithmetic: ``-1`` and ``0.0`` take 2 and
+    3 characters."""
     rows, signals = window.matrix.shape
-    ticks = sum(len(str(t)) for t in window.tick_times.tolist())
-    values = _formatted_size(window.matrix, repr)
-    return _csv_line_length(["tick", *window.signals]) + rows * (signals + 1) + ticks + values
+    ticks = window.tick_times
+    blank = ticks == -1
+    head = rows if blank.all() else int(np.argmin(blank))  # the leading rows at tick -1
+    lead = window.matrix[:head]
+    zero = ((lead == 0) & ~np.signbit(lead)).all(axis=1)  # every value +0.0, not -0.0
+    pad = head if zero.all() else int(np.argmin(zero))
+    rest = ticks[pad:]
+    # str(t) has one digit, one per power of ten up to |t|, and a sign below zero
+    digits = 1 + np.searchsorted(_TEN_POWERS, np.abs(rest).astype(np.uint64), side="right")
+    tick_chars = pad * 2 + int(digits.sum()) + int((rest < 0).sum())
+    values = pad * signals * 3 + _formatted_size(window.matrix[pad:], repr)
+    return _csv_line_length(["tick", *window.signals]) + rows * (signals + 1) + tick_chars + values

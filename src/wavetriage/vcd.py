@@ -8,9 +8,14 @@ The reader is split in two halves that share one file object:
 * :func:`parse_header` consumes the declaration section line by line and
   stops exactly at the line after ``$enddefinitions $end``, so the same
   stream can then be handed to :func:`stream_changes`.
-* :func:`stream_changes` reads the body in fixed-size blocks and yields
-  :class:`ValueChange` records one at a time, with memory use independent
-  of body length.
+* :func:`stream_changes` returns a :class:`ChangeStream` that reads the
+  body in blocks of ``_BLOCK_CHARS`` characters, with memory use
+  independent of body length. Iterated, it yields :class:`ValueChange`
+  records one at a time from a per-token loop. Through
+  :meth:`ChangeStream.blocks` it hands each block to a decoder instead
+  (``extract`` decodes them with numpy) and runs the per-token loop only
+  on the blocks the decoder declines; that loop raises every format error,
+  with the same class and message on either path.
 """
 
 from __future__ import annotations
@@ -255,7 +260,7 @@ def parse_header(stream: IO) -> ScopeTree:
                 raise MalformedHeader(f"$var {name!r} outside any scope")
             path = tuple(s.name for s in scope_stack)
             if (path, name) in seen_names:
-                raise DuplicateFullName(".".join(path) + "." + name)
+                raise DuplicateFullName(f"signal {'.'.join(path + (name,))!r} declared twice")
             seen_names.add((path, name))
             decl = SignalDecl(
                 id_code=id_code,
@@ -308,8 +313,8 @@ def _text_blocks(read: Callable[[int], Union[str, bytes]]) -> Iterator[str]:
 
 def stream_changes(
     stream: Iterable, id_filter: frozenset[str] | set[str] = frozenset()
-) -> Iterator[ValueChange]:
-    """Yield value changes from a VCD body in file order.
+) -> "ChangeStream":
+    """The value changes of a VCD body in file order, as a :class:`ChangeStream`.
 
     The header must already have been consumed. ``stream`` is a file-like
     object (text or binary, read in blocks) or an iterable of lines, each
@@ -317,69 +322,141 @@ def stream_changes(
     record raises :class:`MalformedChange` and a backward timestamp raises
     :class:`TimeRegression`, each where it is found.
     """
-    keep_all = not id_filter
-    make = tuple.__new__  # ValueChange(...) without the keyword-argument wrapper
-    scalar_chars = _SCALAR_CHARS
-    drop_vector_chars = _DROP_VECTOR_CHARS
-    keywords = _BODY_KEYWORDS
+    return ChangeStream(stream, id_filter)
 
-    current_time = 0
-    pending_value: str | None = None  # vector/real value waiting for its id token
-    in_comment = False
 
-    read = getattr(stream, "read", None)
-    for raw in stream if read is None else _text_blocks(read):
-        if isinstance(raw, bytes):
-            raw = raw.decode("latin-1")
-        for tok in raw.split():
-            if in_comment:
-                if tok == "$end":
-                    in_comment = False
-                continue
-            if pending_value is not None:
-                value, pending_value = pending_value, None
-                if tok in keywords:
-                    raise MalformedChange(f"vector value without identifier before {tok!r}")
-                if keep_all or tok in id_filter:
-                    yield make(ValueChange, (current_time, tok, value))
-                continue
-            c0 = tok[0]
-            if c0 == "b" or c0 == "B":
-                bits = tok[1:].lower()
-                if not bits or bits.translate(drop_vector_chars):
-                    raise MalformedChange(f"bad vector value {tok!r}")
-                pending_value = bits
-            elif c0 in scalar_chars:
-                ident = tok[1:]
-                if not ident:
-                    raise MalformedChange(f"scalar change {tok!r} missing identifier")
-                if keep_all or ident in id_filter:
-                    yield make(ValueChange, (current_time, ident, c0.lower()))
-            elif c0 == "#":
-                try:
-                    t = int(tok[1:])
-                except ValueError:
-                    raise MalformedChange(f"bad timestamp {tok!r}") from None
-                if t < 0 or t > MAX_TICK:
-                    raise MalformedChange(f"timestamp {tok!r} outside 64-bit tick range")
-                if t < current_time:
-                    raise TimeRegression(f"timestamp went backwards: {current_time} -> {t}")
-                current_time = t
-            elif c0 == "r" or c0 == "R":
-                num = tok[1:]
-                try:
-                    float(num)
-                except ValueError:
-                    raise MalformedChange(f"bad real value {tok!r}") from None
-                pending_value = "r" + num
-            elif tok == "$comment":
-                in_comment = True
-            elif tok not in keywords:
-                raise MalformedChange(f"unrecognized change record {tok!r}")
-            # $dumpvars / $dumpall / $dumpon / $dumpoff / $end pass through;
-            # the value records inside them are ordinary changes.
-    if pending_value is not None:
-        raise MalformedChange("vector value at end of file missing identifier")
+class ChangeStream:
+    """An iterator of the :class:`ValueChange` records of one VCD body.
+
+    Iterating it runs the per-token loop over the body's text blocks. A
+    columnar reader may instead take the body block by block through
+    :meth:`blocks`, which runs the per-token loop only on the blocks its
+    decoder declines. Either way the body is read once.
+    """
+
+    def __init__(self, stream: Iterable, id_filter: frozenset[str] | set[str] = frozenset()):
+        self.id_filter = frozenset(id_filter)
+        self.time = 0  # the last timestamp read
+        self._pending: str | None = None  # vector/real value waiting for its id token
+        self._in_comment = False
+        read = getattr(stream, "read", None)
+        self._in_blocks = read is not None  # or line by line
+        self._texts = iter(stream) if read is None else _text_blocks(read)
+        self._all: Iterator[ValueChange] | None = None
+
+    def __iter__(self) -> Iterator[ValueChange]:
+        # one generator for every pull, so that each goes on where the last stopped
+        if self._all is None:
+            self._all = self._changes(self._texts, whole_body=True)
+        return self._all
+
+    def __next__(self) -> ValueChange:
+        return next(iter(self))
+
+    def blocks(self, decode: Callable[[str, int], "tuple[object, int, int] | None"]) -> Iterator:
+        """Per text block of the body, in order, ``decode(text, time)``'s
+        result, or the block's :class:`ValueChange` iterator.
+
+        ``decode`` gets each block that starts at a record boundary, with the
+        time of the last timestamp before it. It returns ``(result, time,
+        used)``: the time of the block's last timestamp, and how many of the
+        block's characters it read; the rest is read with the next block.
+        It returns None to leave the block to the per-token loop, which
+        raises any error in it. Each iterator must be exhausted before the
+        next block is asked for. A body given line by line, or one already
+        pulled from, comes as one iterator of what is left of it.
+        """
+        if self._all is not None or not self._in_blocks:
+            yield iter(self)
+            return
+        rest = ""
+        for text in self._texts:
+            if rest:  # a whole token; the text before it may have lost its last blank
+                text, rest = f"{rest} {text}", ""
+            decoded = None
+            if self._pending is None and not self._in_comment:
+                decoded = decode(text, self.time)
+            if decoded is None:
+                yield self._changes((text,))
+            else:
+                result, self.time, used = decoded
+                rest = text[used:]
+                yield result
+        if rest:
+            yield self._changes((rest,))
+        self._finish()
+
+    def _changes(self, texts: Iterable, whole_body: bool = False) -> Iterator[ValueChange]:
+        """The changes of ``texts``, read on from where the last text left
+        off; when they are the whole body, checked for a value left open
+        at its end."""
+        keep_all = not self.id_filter
+        id_filter = self.id_filter
+        make = tuple.__new__  # ValueChange(...) without the keyword-argument wrapper
+        scalar_chars = _SCALAR_CHARS
+        drop_vector_chars = _DROP_VECTOR_CHARS
+        keywords = _BODY_KEYWORDS
+
+        current_time = self.time
+        pending_value = self._pending
+        in_comment = self._in_comment
+        for raw in texts:
+            if isinstance(raw, bytes):
+                raw = raw.decode("latin-1")
+            for tok in raw.split():
+                if in_comment:
+                    if tok == "$end":
+                        in_comment = False
+                    continue
+                if pending_value is not None:
+                    value, pending_value = pending_value, None
+                    if tok in keywords:
+                        raise MalformedChange(f"vector value without identifier before {tok!r}")
+                    if keep_all or tok in id_filter:
+                        yield make(ValueChange, (current_time, tok, value))
+                    continue
+                c0 = tok[0]
+                if c0 == "b" or c0 == "B":
+                    bits = tok[1:].lower()
+                    if not bits or bits.translate(drop_vector_chars):
+                        raise MalformedChange(f"bad vector value {tok!r}")
+                    pending_value = bits
+                elif c0 in scalar_chars:
+                    ident = tok[1:]
+                    if not ident:
+                        raise MalformedChange(f"scalar change {tok!r} missing identifier")
+                    if keep_all or ident in id_filter:
+                        yield make(ValueChange, (current_time, ident, c0.lower()))
+                elif c0 == "#":
+                    try:
+                        t = int(tok[1:])
+                    except ValueError:
+                        raise MalformedChange(f"bad timestamp {tok!r}") from None
+                    if t < 0 or t > MAX_TICK:
+                        raise MalformedChange(f"timestamp {tok!r} outside 64-bit tick range")
+                    if t < current_time:
+                        raise TimeRegression(f"timestamp went backwards: {current_time} -> {t}")
+                    current_time = t
+                elif c0 == "r" or c0 == "R":
+                    num = tok[1:]
+                    try:
+                        float(num)
+                    except ValueError:
+                        raise MalformedChange(f"bad real value {tok!r}") from None
+                    pending_value = "r" + num
+                elif tok == "$comment":
+                    in_comment = True
+                elif tok not in keywords:
+                    raise MalformedChange(f"unrecognized change record {tok!r}")
+                # $dumpvars / $dumpall / $dumpon / $dumpoff / $end pass through;
+                # the value records inside them are ordinary changes.
+        self.time, self._pending, self._in_comment = current_time, pending_value, in_comment
+        if whole_body:
+            self._finish()
+
+    def _finish(self) -> None:
+        if self._pending is not None:
+            raise MalformedChange("vector value at end of file missing identifier")
 
 
 def _validate_value(value: str, width: int) -> str | None:

@@ -119,6 +119,60 @@ def test_select_lookup_table_without_a_target_module_is_exit_2_naming_the_file(c
     assert not out.exists()
 
 
+def _select_on(corpus, tmp_path, wave, capsys):
+    """``select``'s exit code and stderr on the waveform ``wave``."""
+    tau = tmp_path / "tau.json"
+    sources = sorted(str(p) for p in corpus.root.glob("*.sv"))
+    assert run("scan", "--sources", *sources, "--json", str(tau)) == 0
+    capsys.readouterr()
+    code = run(
+        "select", "--vcd", str(wave), "--tau", str(tau), "--targets", ",".join(corpus.modules),
+        "--top-module", "soc_top", "--dut-root", "tb.dut", "--json", str(tmp_path / "sel.json"),
+    )
+    return code, capsys.readouterr().err
+
+
+def test_select_on_a_cut_header_is_exit_2_naming_the_waveform(corpus, tmp_path, capsys):
+    wave = tmp_path / "wave.vcd"
+    gen_failing_vcd(corpus, corpus.modules[0], ticks=50, seed=1000, out_path=wave)
+    text = wave.read_text()
+    wave.write_text(text[: text.index("$enddefinitions")])
+    assert _select_on(corpus, tmp_path, wave, capsys) == (
+        2, f"error: {wave}: unexpected end of file before $enddefinitions\n"
+    )
+
+
+def test_select_on_a_signal_declared_twice_is_exit_2_naming_the_waveform_and_the_signal(
+    corpus, tmp_path, capsys
+):
+    wave = tmp_path / "wave.vcd"
+    wave.write_text(
+        "$timescale 1ns $end\n$scope module x $end\n$var wire 1 ! a $end\n"
+        "$var wire 1 % a $end\n$upscope $end\n$enddefinitions $end\n#0\n0!\n"
+    )
+    assert _select_on(corpus, tmp_path, wave, capsys) == (
+        2, f"error: {wave}: signal 'x.a' declared twice\n"
+    )
+
+
+def test_a_data_error_exit_loads_no_numpy_and_no_orchestrate(tmp_path):
+    """``scan`` of a bad source exits 2 without importing the modules that
+    define the external-command errors: one never loaded cannot have raised."""
+    bad = tmp_path / "bad.sv"
+    bad.write_text("module m;\n !!\nendmodule")
+    script = (
+        "import sys\n"
+        "from wavetriage import cli\n"
+        f"code = cli.main(['scan', '--sources', {str(bad)!r}, '--json', {str(tmp_path / 'x.json')!r}])\n"
+        "print(code, 'numpy' in sys.modules, 'wavetriage.orchestrate' in sys.modules)\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [PY, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}
+    )
+    assert proc.stdout.split() == ["2", "False", "False"], proc.stderr
+
+
 def _selected_fixture_waveform(corpus, tmp_path):
     """A fixture waveform and the selection report ``select`` writes for it."""
     tau = tmp_path / "tau.json"

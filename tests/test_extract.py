@@ -460,6 +460,25 @@ class TestByteCounts:
         write_rough_csv(win, buf)
         assert rough_csv_size(win) == len(buf.getvalue())
 
+    def test_rough_size_of_a_mostly_padded_window(self):
+        # standardize's padding rows (tick -1, every value 0.0) are counted
+        # by arithmetic; the rows after them are formatted as ever
+        matrix = np.vstack([np.zeros((3, 4)), np.array([EDGE_VALUES[:4]]), np.zeros((1, 4))])
+        win = standardize(window_of(matrix), 2000)
+        win.tick_times[-5:] = [-1, 0, 9, 10**18, 7]
+        buf = io.StringIO()
+        write_rough_csv(win, buf)
+        assert rough_csv_size(win) == len(buf.getvalue())
+
+    def test_rough_size_of_a_read_back_window_with_negative_zero(self):
+        # -0.0 formats as 4 characters: a tick -1 row holding it ends the padding
+        text = "tick,top.a,top.b\n-1,0.0,0.0\n-1,0.0,-0.0\n-1,0.0,0.0\n-12,-0.0,1.5\n3,0.0,0.0\n"
+        win = read_rough_csv(io.StringIO(text), "mod", "s0")
+        buf = io.StringIO()
+        write_rough_csv(win, buf)
+        assert buf.getvalue() == text
+        assert rough_csv_size(win) == len(text)
+
     def test_rough_size_keeps_quoted_signal_names(self):
         win = window_of(np.zeros((2, 2)))
         win.signals = ['top.a,b', 'top."q"']
