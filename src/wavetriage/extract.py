@@ -807,17 +807,23 @@ def read_rough_csv(stream: IO[str], label: str, scenario_id: str) -> WaveWindow:
     """The window :func:`write_rough_csv` wrote; the file holds neither
     its label nor its scenario id. A record with another field count than
     the header, or a tick or value that is not a number, raises
-    ExtractError naming its line."""
+    ExtractError naming its line; so does a file with no signal column or
+    no row, which :func:`write_rough_csv` never writes (a window has at
+    least one signal and one tick)."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if not header or header[0] != "tick":
         raise ExtractError("not a rough CSV: expected a tick,<signals> header")
+    if len(header) == 1:
+        raise ExtractError("rough CSV has no signal column after 'tick'")
     ticks, values = [], []
     for tick, row in _records(
         reader, len(header), lambda record: (int(record[0]), [float(v) for v in record[1:]])
     ):
         ticks.append(tick)
         values.append(row)
+    if not ticks:
+        raise ExtractError("rough CSV has no rows after its header")
     return WaveWindow(
         matrix=np.asarray(values),
         tick_times=np.asarray(ticks),

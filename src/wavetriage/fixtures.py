@@ -13,6 +13,7 @@ Signatures perturb exactly the statistics the summary stage preserves.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -78,6 +79,17 @@ class FixtureDesign:
 
     def sources(self) -> DesignSources:
         return DesignSources.from_paths(self.source_paths())
+
+    @functools.cached_property
+    def _dump(self) -> _DumpPlan:
+        return _DumpPlan(self)
+
+    def dump_plan(self) -> _DumpPlan:
+        """This design's waveform plan (see :class:`_DumpPlan`), built on
+        first use and again when the one held no longer serves it."""
+        if not self._dump.serves(self):
+            del self._dump
+        return self._dump
 
 
 _LEAF_TEMPLATE = """module {name} (
@@ -415,6 +427,108 @@ def build_scope_tree(design: FixtureDesign) -> vcd.ScopeTree:
     return tree
 
 
+_EMPTY = -1  # a free slot of a _LineTable; every real key is >= 0
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing: 2**64 over the golden ratio
+
+
+class _LineTable:
+    """Change lines by int64 key: an open-addressing hash table with
+    linear probing, kept at most half full, so a whole waveform's keys are
+    looked up in a few vectorized probe rounds whatever values they hold."""
+
+    def __init__(self, bits: int = 10):
+        self.keys = np.full(1 << bits, _EMPTY, dtype=np.int64)
+        self.lines = np.empty(1 << bits, dtype=object)
+        self.shift = np.uint64(64 - bits)
+        self.count = 0
+
+    def slots(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's slot, or else the free slot where its probe ends."""
+        mask = len(self.keys) - 1
+        slot = ((keys.astype(np.uint64) * _MIX) >> self.shift).astype(np.intp)
+        held = self.keys[slot]
+        todo = np.flatnonzero((held != keys) & (held != _EMPTY))
+        while todo.size:
+            slot[todo] = (slot[todo] + 1) & mask
+            held = self.keys[slot[todo]]
+            todo = todo[(held != keys[todo]) & (held != _EMPTY)]
+        return slot
+
+    def add(self, keys: np.ndarray, lines: np.ndarray) -> None:
+        """Put distinct keys that the table does not hold, with their lines."""
+        total = self.count + len(keys)
+        if 2 * total > len(self.keys):  # rehash everything into a table twice the size or more
+            held = self.keys != _EMPTY
+            keys = np.concatenate([self.keys[held], keys])
+            lines = np.concatenate([self.lines[held], lines])
+            self.__init__((2 * total).bit_length())
+        while len(keys):  # keys that probe to the same free slot take turns
+            slot, first = np.unique(self.slots(keys), return_index=True)
+            self.keys[slot] = keys[first]
+            self.lines[slot] = lines[first]
+            self.count += len(first)
+            rest = np.ones(len(keys), dtype=bool)
+            rest[first] = False
+            keys, lines = keys[rest], lines[rest]
+
+
+class _DumpPlan:
+    """What every waveform of one dump layout shares: the header, each
+    signal's base level and top value, and the lines that waveforms of the
+    layout have written so far.
+
+    A waveform is a ticks x (1 + signals) matrix: column 0 holds the tick,
+    and a change in it stands for the tick's timestamp line. A line is
+    stored under the key ``value * columns + column``, exact for every
+    signal of up to 53 bits (the widths whose levels float64 holds
+    exactly). A key that is not there yet is formatted the first time a
+    waveform uses it, a signal's line by :func:`wavetriage.vcd.change_line`,
+    which also checks it; so a signal of any width gets lines only for the
+    values it takes, never a table of all its values. The plan serves one
+    layout under one value check: it is built again when the design's
+    layout or ``vcd``'s check is no longer the one it was built under, so
+    every line it hands out has passed the check in force.
+    """
+
+    def __init__(self, design: FixtureDesign):
+        self.layout = tuple(design.layout)
+        self.check = vcd.value_check()
+        tree = build_scope_tree(design)
+        self.header = vcd.header_text(tree).encode("latin-1")
+        self.signals = list(tree.iter_signals())
+        self.base = [40.0 + (_stable_hash(name, *path) % 97) for path, name, _, _ in self.layout]
+        tops = [float((1 << width) - 1) for _, _, width, _ in self.layout]
+        self.tops = np.array([np.inf, *tops])
+        self.table = _LineTable()
+
+    def serves(self, design: FixtureDesign) -> bool:
+        return self.check is vcd.value_check() and self.layout == tuple(design.layout)
+
+    def line(self, key: int) -> bytes:
+        value, col = divmod(key, len(self.tops))
+        if col == 0:
+            return b"#%d\n" % (5 * value)
+        sig = self.signals[col - 1]
+        text = "01"[value] if sig.width == 1 else format(value, "b")
+        return vcd.change_line(text, sig.id_code, sig.width).encode("latin-1")
+
+    def lines_of(self, keys: np.ndarray) -> np.ndarray:
+        """The line of each key, as an object array of bytes. New keys are
+        formatted in the order of their first use, so the first line the
+        check rejects is the first such change in the waveform."""
+        table = self.table
+        slot = table.slots(keys)
+        missing = table.keys[slot] != keys
+        if missing.any():
+            new, first = np.unique(keys[missing], return_index=True)
+            fresh = np.empty(len(new), dtype=object)
+            for i in np.argsort(first).tolist():
+                fresh[i] = self.line(int(new[i]))
+            table.add(new, fresh)
+            slot = table.slots(keys)
+        return table.lines[slot]
+
+
 def gen_failing_vcd(
     design: FixtureDesign,
     label_module: str,
@@ -429,12 +543,16 @@ def gen_failing_vcd(
     module's recipe signals deviate in the final window; everything else
     follows the shared baseline process.
 
-    The drawn columns form a ticks x signals matrix; a cell is a change
-    when it is in the first row or differs from the cell above, and numpy's
-    row-major ``nonzero`` yields the changes in time order, then layout
-    order. Each distinct (signal, value) line is formatted and validated
-    once, and the file is encoded in one piece. With ``out_path`` the
-    bytes replace that file atomically (see :func:`wavetriage.sysio.replace_file`).
+    The tick and the drawn columns form a ticks x (1 + signals) matrix;
+    a signal's cell is a change when it is in the first row or differs
+    from the cell above, and a tick's cell is one when its row has a
+    change. Numpy's row-major order yields the changes in time order, each
+    tick's timestamp first, then layout order. The design's dump plan (see
+    :class:`_DumpPlan`) holds the header and every line its waveforms have
+    used, each formatted and checked once per design; one lookup gives each
+    change its line and one join makes the file, with no Python step per
+    change. With ``out_path`` the bytes replace that file atomically (see
+    :func:`wavetriage.sysio.replace_file`).
     """
     if label_module not in design.recipes:
         raise UnknownModule(label_module)
@@ -443,24 +561,22 @@ def gen_failing_vcd(
     scale = DIFFICULTY_SCALE[difficulty]
     rng = np.random.default_rng(seed)
     recipe = design.recipes[label_module]
+    plan = design.dump_plan()
 
     sub_tail = 30  # all signature effects burst right before failure
     t_axis = np.arange(ticks)
 
-    tree = build_scope_tree(design)
-    columns: list[np.ndarray] = []
-    for path, name, width, owner in design.layout:
-        base = 40.0 + (_stable_hash(name, *path) % 97)
+    columns: list[np.ndarray] = [t_axis]
+    for (path, name, width, owner), base in zip(design.layout, plan.base):
         if width == 1:
             if name in ("clk", "clk_tb"):
-                series = (t_axis % 2).astype(np.int64)
+                series = t_axis % 2
             elif name == "rst_n":
-                series = (t_axis >= 3).astype(np.int64)
+                series = t_axis >= 3
             else:
-                series = (rng.random(ticks) < 0.35).astype(np.int64)
+                series = rng.random(ticks) < 0.35
             columns.append(series)
             continue
-        top = (1 << width) - 1
         is_signature = owner == label_module and name in (
             recipe.bias_signal,
             recipe.stuck_signal,
@@ -484,30 +600,22 @@ def gen_failing_vcd(
                     series[burst] = base + offset + rng.normal(
                         0.0, 6.0 + 24.0 * scale, size=sub_tail
                     )
-        columns.append(np.clip(np.round(series), 0, top).astype(np.int64))
+        columns.append(series)
 
-    matrix = np.stack(columns, axis=1)
+    # every column as float64 (exact for ticks and 0/1 scalars), rounded
+    # and clipped to its own top at once: elementwise the per-column arithmetic
+    levels = np.stack(columns, axis=1).astype(np.float64, copy=False)
+    np.round(levels, out=levels)
+    np.clip(levels, 0, plan.tops, out=levels)
+    matrix = levels.astype(np.int64)
+
     changed = np.empty(matrix.shape, dtype=bool)
     changed[0] = True
     np.not_equal(matrix[1:], matrix[:-1], out=changed[1:])
-    rows, cols = np.nonzero(changed)
-
-    signals = list(tree.iter_signals())
-    lines: dict[tuple[int, int], str] = {}
-    parts = [vcd.header_text(tree)]
-    last_row = -1
-    for row, col, value in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()):
-        if row != last_row:
-            parts.append(f"#{5 * row}\n")
-            last_row = row
-        line = lines.get((col, value))
-        if line is None:
-            sig = signals[col]
-            text = "01"[value] if sig.width == 1 else format(value, "b")
-            line = lines[col, value] = vcd.change_line(text, sig.id_code, sig.width)
-        parts.append(line)
-
-    blob = "".join(parts).encode("latin-1")
+    np.any(changed[:, 1:], axis=1, out=changed[:, 0])  # a timestamp where a tick has changes
+    matrix *= matrix.shape[1]
+    matrix += np.arange(matrix.shape[1])
+    blob = plan.header + b"".join(plan.lines_of(matrix[changed]).tolist())
     if out_path is None:
         return blob
     replace_file(out_path, blob)
@@ -588,14 +696,20 @@ def materialize_corpus(
 def simulator_command() -> str:
     """Command template for the bundled replay simulator.
 
-    It runs by its file path, so the child needs no ``PYTHONPATH``, under
-    ``-I -S``: isolated from ``PYTHON*`` variables and the user and script
-    directories, and without ``site``. The simulator imports neither
-    ``json``, ``re`` nor ``os``, so each job costs about one bare
-    interpreter start (see ``replay_sim``)."""
-    script = Path(__file__).with_name("replay_sim.py")
+    The child runs ``python -I -S -c`` with a line that appends the
+    simulator's own directory, and nothing else, to ``sys.path``, imports
+    ``replay_sim`` from there and exits with its ``main()``. So the child
+    needs no ``PYTHONPATH``, and it loads the compiled ``.pyc`` instead of
+    compiling the script, which running the script by its path does on
+    every start. ``-I`` isolates it from ``PYTHON*`` variables and the
+    user site directory, and ``-S`` skips ``site``. The simulator imports
+    neither ``json``, ``re`` nor ``os``, so each job costs about one bare
+    interpreter start (see ``replay_sim``). The line holds no brace, since
+    each part of a template is ``str.format``ted."""
+    here = str(Path(__file__).resolve().parent)
+    code = f"import sys; sys.path.append({here!r}); import replay_sim; sys.exit(replay_sim.main())"
     return (
-        f"{shlex.quote(sys.executable)} -I -S {shlex.quote(str(script))}"
+        f"{shlex.quote(sys.executable)} -I -S -c {shlex.quote(code)}"
         " --manifest {design_dir}/manifest.json --scenario-id {scenario_id}"
         " --seed {seed} --vcd-out {vcd_out}"
     )

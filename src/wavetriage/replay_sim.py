@@ -18,13 +18,17 @@ cost about 10 ms more, nearly all of it ``re`` and ``enum``, and ``os``
 about 2 ms, so paths are POSIX strings and ``os`` is imported only to make
 a missing output directory. The waveform is copied with a plain binary
 read and write instead of ``shutil`` (whose imports cost about 11 ms), and
-``time`` is imported only to sleep. ``fixtures.simulator_command`` runs it
-by its path as ``python -I -S``: ``-S`` skips ``site``, which costs tens
-of milliseconds wherever a site-packages ``.pth`` file imports a package,
-and ``-I`` ignores ``PYTHON*`` variables, the user site directory and this
-file's directory, so nothing of the caller's environment is imported.
-What remains is about one bare interpreter start (about 12 ms on a 2-vCPU
-VM with Python 3.11).
+``time`` is imported only to sleep. ``fixtures.simulator_command`` runs
+``python -I -S -c`` with a line that puts this file's directory, and only
+it, on ``sys.path``, imports this module as ``replay_sim`` and exits with
+``main()``; so the interpreter loads the cached bytecode instead of
+compiling this file, which running it by its path does on every start
+(about 1.4 ms). ``-S`` skips ``site``, which costs tens of milliseconds
+wherever a site-packages ``.pth`` file imports a package, and ``-I``
+ignores ``PYTHON*`` variables, the user site directory and the working
+directory, so nothing of the caller's environment is imported. What
+remains is about one bare interpreter start (about 10 ms on a 2-vCPU VM
+with Python 3.11). Run by its path, the file works the same.
 """
 
 import sys

@@ -475,6 +475,13 @@ def _validate_value(value: str, width: int) -> str | None:
     return None
 
 
+def value_check() -> Callable[[str, int], str | None]:
+    """The check :func:`change_line` runs on each value: the problem with
+    ``value`` at ``width`` bits, or None. A caller that keeps lines that
+    change_line made may hand them out only while this stays the same."""
+    return _validate_value
+
+
 def change_line(value: str, id_code: str, width: int) -> str:
     """The body line that sets the signal ``id_code`` of ``width`` bits to
     ``value``; raises :class:`MalformedChange` for a value that the parser

@@ -1104,6 +1104,28 @@ def test_a_damaged_csv_input_is_named_with_its_line(stage_files, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "text, says",
+    [
+        ("tick\n5\n", "rough CSV has no signal column after 'tick'"),
+        ("tick,a\n", "rough CSV has no rows after its header"),
+    ],
+    ids=["no signal column", "no rows"],
+)
+def test_compress_rejects_a_rough_csv_without_signals_or_rows(tmp_path, capsys, text, says):
+    """``extract`` never writes a rough CSV without a signal or a tick, so
+    ``compress`` names such a file as a data error instead of compressing
+    it to a dataset of 0 features or failing on the matrix shape."""
+    rough = tmp_path / "rough.csv"
+    rough.write_text(text)
+    Path(str(rough) + ".meta.json").write_text(json.dumps({"label": "m", "scenario_id": "s"}))
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run("compress", "--rough-csv", str(rough), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {rough}: {says}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "entry, says",
     [
         ({"cap": 200, "metrics": {"top1": 0.9, "top3": 0.95}}, "ablation entry 1 has no key 'tick_cap'"),

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -275,6 +276,22 @@ def test_replay_sim_starts_without_site_or_package_imports(design, tmp_path):
     assert out.read_bytes() == expected
 
 
+def test_replay_sim_runs_from_its_cached_bytecode(design, tmp_path):
+    """The simulator is imported as a module, not run as a script, so the
+    interpreter loads its compiled bytecode instead of compiling the file
+    on every job."""
+    scenario_id, expected = _replay_corpus(design)
+    out = tmp_path / "replayed.vcd"
+    args = _replay_args(design.root, scenario_id, out)
+    assert subprocess.run(args, capture_output=True).returncode == 0  # the cache is written
+    args[1:1] = ["-v"]  # verbose imports name the file each module's code came from
+    proc = subprocess.run(args, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    cached = importlib.util.cache_from_source(str(Path(fixtures.__file__).with_name("replay_sim.py")))
+    assert f"# code object from '{cached}'" in proc.stderr
+    assert out.read_bytes() == expected
+
+
 @pytest.mark.parametrize(
     "manifest, says",
     [
@@ -534,3 +551,135 @@ def test_manifest_failed_write_leaves_old_manifest(tmp_path, monkeypatch, fail_r
         materialize_corpus(design, build_scenarios(design, 2, 0, seed=5), ticks=60)
     assert manifest.read_bytes() == before
     assert [p.name for p in design.root.rglob(".*")] == []
+
+
+def _per_change_vcd(design, label_module, ticks, seed, difficulty):
+    """The generator as it was before its per-design dump plan: the same
+    column draws, numpy change detection, then a Python loop over the
+    changes that puts a timestamp before each tick's first change and
+    formats each distinct (signal, value) line once per waveform."""
+    scale = DIFFICULTY_SCALE[difficulty]
+    rng = np.random.default_rng(seed)
+    recipe = design.recipes[label_module]
+    sub_tail = 30
+    t_axis = np.arange(ticks)
+    tree = build_scope_tree(design)
+    columns = []
+    for path, name, width, owner in design.layout:
+        base = 40.0 + (_stable_hash(name, *path) % 97)
+        if width == 1:
+            if name in ("clk", "clk_tb"):
+                series = (t_axis % 2).astype(np.int64)
+            elif name == "rst_n":
+                series = (t_axis >= 3).astype(np.int64)
+            else:
+                series = (rng.random(ticks) < 0.35).astype(np.int64)
+            columns.append(series)
+            continue
+        top = (1 << width) - 1
+        is_signature = owner == label_module and name in (
+            recipe.bias_signal,
+            recipe.stuck_signal,
+            recipe.noisy_signal,
+        )
+        offset = float(rng.normal(0.0, 20.0))
+        if name.endswith("_state_q"):
+            series = rng.integers(0, 16, size=ticks).astype(np.float64)
+            if is_signature and name == recipe.stuck_signal and scale > 0:
+                series[ticks - sub_tail :] = float(int(base) % 16)
+        else:
+            noise = rng.normal(0.0, 6.0, size=ticks)
+            series = base + offset + noise
+            if is_signature and scale > 0:
+                burst = slice(ticks - sub_tail, ticks)
+                if name == recipe.bias_signal:
+                    series[burst] = base + recipe.bias_level * scale + noise[burst]
+                elif name == recipe.noisy_signal:
+                    series[burst] = base + offset + rng.normal(
+                        0.0, 6.0 + 24.0 * scale, size=sub_tail
+                    )
+        columns.append(np.clip(np.round(series), 0, top).astype(np.int64))
+
+    matrix = np.stack(columns, axis=1)
+    changed = np.empty(matrix.shape, dtype=bool)
+    changed[0] = True
+    np.not_equal(matrix[1:], matrix[:-1], out=changed[1:])
+    rows, cols = np.nonzero(changed)
+    signals = list(tree.iter_signals())
+    lines = {}
+    parts = [vcd.header_text(tree)]
+    last_row = -1
+    for row, col, value in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()):
+        if row != last_row:
+            parts.append(f"#{5 * row}\n")
+            last_row = row
+        line = lines.get((col, value))
+        if line is None:
+            sig = signals[col]
+            text = "01"[value] if sig.width == 1 else format(value, "b")
+            line = lines[col, value] = vcd.change_line(text, sig.id_code, sig.width)
+        parts.append(line)
+    return "".join(parts).encode("latin-1")
+
+
+@pytest.fixture(scope="module")
+def designs_3_8(tmp_path_factory):
+    return {n: gen_design(tmp_path_factory.mktemp(f"plan{n}"), n_modules=n, seed=20 + n) for n in (3, 8)}
+
+
+@pytest.mark.parametrize("ticks", [50, 300, 2400])
+@pytest.mark.parametrize("difficulty", sorted(DIFFICULTY_SCALE))
+@pytest.mark.parametrize("n_modules", [3, 8])
+def test_vcd_bytes_match_the_per_change_loop(designs_3_8, n_modules, difficulty, ticks):
+    """The dump plan's lookup and one join write the bytes of the
+    per-change loop, over designs, difficulties, tick counts and seeds."""
+    design = designs_3_8[n_modules]
+    for seed in (ticks, 7 * ticks + 1, 2601):
+        label = design.modules[seed % n_modules]
+        expected = _per_change_vcd(design, label, ticks, seed, difficulty)
+        assert gen_failing_vcd(design, label, ticks, seed, difficulty) == expected
+
+
+def test_vcd_bytes_follow_the_design_not_the_last_call(tmp_path):
+    """Generating from design A, then B, then A gives A's bytes again: each
+    design keeps its own plan, and neither call depends on the other."""
+    a = gen_design(tmp_path / "a", n_modules=3, seed=1)
+    b = gen_design(tmp_path / "b", n_modules=8, seed=2)
+    first = gen_failing_vcd(a, a.modules[0], 300, 5, "easy")
+    other = gen_failing_vcd(b, b.modules[0], 300, 5, "easy")
+    assert gen_failing_vcd(a, a.modules[0], 300, 5, "easy") == first
+    assert first == _per_change_vcd(a, a.modules[0], 300, 5, "easy")
+    assert other == _per_change_vcd(b, b.modules[0], 300, 5, "easy")
+    same_layout = gen_design(tmp_path / "a2", n_modules=3, seed=1)
+    assert same_layout.dump_plan() is not a.dump_plan()
+
+
+def test_vcd_plan_is_rebuilt_when_the_layout_changes(tmp_path):
+    design = gen_design(tmp_path / "d", n_modules=3, seed=1)
+    gen_failing_vcd(design, design.modules[1], 120, 3, "easy")
+    plan = design.dump_plan()
+    design.layout = design.layout[:-1]  # the probe's busy_w is no longer dumped
+    blob = gen_failing_vcd(design, design.modules[1], 120, 3, "easy")
+    assert design.dump_plan() is not plan
+    assert blob == _per_change_vcd(design, design.modules[1], 120, 3, "easy")
+    assert blob.count(b"$var ") == len(design.layout)
+    # with reset alone, most ticks have no change and get no timestamp
+    design.layout = [entry for entry in design.layout if entry[1] == "rst_n"]
+    blob = gen_failing_vcd(design, design.modules[1], 120, 3, "easy")
+    assert blob == _per_change_vcd(design, design.modules[1], 120, 3, "easy")
+    assert blob.count(b"\n#") == 2  # at ticks 0 and 3
+
+
+def test_line_table_finds_wide_keys_across_growth():
+    """Keys of any size up to 2**62 are found after the table has grown
+    several times, and an absent key probes to a free slot."""
+    rng = np.random.default_rng(0)
+    keys = np.unique(rng.integers(0, 2**62, size=6000))
+    absent, keys = keys[:1000], rng.permutation(keys[1000:])
+    table = fixtures._LineTable()
+    for batch in np.array_split(keys, 3):
+        table.add(batch, np.array([b"%d" % k for k in batch.tolist()], dtype=object))
+    assert len(table.keys) >= 2 * len(keys)
+    found = table.lines[table.slots(keys)]
+    assert found.tolist() == [b"%d" % k for k in keys.tolist()]
+    assert (table.keys[table.slots(absent)] == fixtures._EMPTY).all()

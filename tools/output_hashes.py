@@ -17,7 +17,10 @@ bytes changed. A ``pipeline:stdout`` line covers the result lines the run
 printed, with the temporary root replaced by ``<work>``. One last line
 covers the corpus itself: a SHA-256 over ``manifest.json`` and every
 ``vcds/*.vcd`` in sorted order, each file's relative path and size hashed
-in front of its bytes.
+in front of its bytes. A second corpus line covers a small ``easy``
+corpus (3 modules, 2 train and 2 test scenarios each) that no command
+reads: at difficulty ``impossible`` the fixture generator skips the label
+module's bias, stuck-at and noisy bursts, so only this line checks them.
 
 Then the stage commands run one at a time on the first test scenario of
 each module: ``scan``, ``select`` (on the first of those waveforms),
@@ -129,6 +132,9 @@ def output_hashes(work: Path) -> list[str]:
         lines.append(f"{model_content_hash(out_dir / name, out_dir / 'test.csv')}  {name}:content")
     lines.append(work_hash_line(work, stdout.getvalue().encode("utf-8"), "pipeline:stdout"))
     lines.append(f"{corpus_hash(design.root)}  design/{{manifest.json,vcds/*.vcd}}")
+    easy = fixtures.gen_design(work / "easy", n_modules=3, seed=SEED)
+    fixtures.materialize_corpus(easy, fixtures.build_scenarios(easy, 2, 2, seed=SEED), ticks=300)
+    lines.append(f"{corpus_hash(easy.root)}  easy/{{manifest.json,vcds/*.vcd}}")
     return lines + stage_chain_hashes(work, design) + inject_hashes(work, design)
 
 
